@@ -3,8 +3,9 @@
 The file layout is versioned and deterministic (sorted keys, shortest
 round-trip floats), so repeated saves of the same knowledge base are
 byte-identical.  Unbounded cuboid sides are stored as explicit ``null``
-markers.  Writing uses last-writer-wins semantics; there is no cross-process
-locking.
+markers.  A save replaces the file atomically, so a crash leaves either the
+old or the new file whole.  Writing uses last-writer-wins semantics; there is
+no cross-process locking.
 
 Top-level layout::
 
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,10 +115,28 @@ class KnowledgeBase:
                              self.format_version)
 
     def save(self, path: str | Path) -> None:
-        """Write the knowledge base deterministically to ``path``."""
+        """Write the knowledge base deterministically to ``path``.
+
+        The text goes to a temporary file in the same directory, which is
+        flushed to disk and then renamed over ``path``; a save that fails or
+        is interrupted leaves the previous file as it was.  An existing
+        file's permission bits carry over to the new one.
+        """
         payload = kb_to_dict(self)
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        target = Path(path).resolve()
+        tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            if target.exists():
+                os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path,

@@ -2,15 +2,17 @@
 
 Exact point-to-cuboid distance via per-dimension clamping, the height of
 intersection of two fuzzy concepts (largest membership level at which their
-level sets still meet) solved as a convex min-max per cuboid pair, and a
-brute-force lattice oracle used to cross-check the solver.
+level sets still meet), and a brute-force lattice oracle used to cross-check
+it.  The height is solved per cuboid pair through the Lagrangian dual of the
+convex min-max, which separates by domain under the combined metric; it
+comes with an attained value, a witness point and a certified upper bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_CELL_CAP = 20_000_000
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class _MetricArrays(NamedTuple):
@@ -132,136 +132,220 @@ def alpha_cut_bbox(cuboid: Cuboid, peak: float, decay: float,
 class HeightResult:
     """Outcome of a height-of-intersection computation.
 
-    ``value`` is the best membership level found, ``witness`` a point
-    attaining it.  When ``converged`` is true the final sweep improved the
-    objective by no more than the requested tolerance (reported as ``gap``).
+    ``value`` is the smaller of the two memberships at ``witness``, computed
+    with the library's metric, so the true height is at least ``value``.
+    ``bound`` is an upper bound on the true height from the Lagrangian dual,
+    certified up to floating-point rounding, and ``gap`` is
+    ``bound - value``.  ``converged`` is true exactly when ``gap`` is within
+    the requested tolerance.  ``iterations`` counts the values of the dual
+    variable evaluated over all cuboid pairs; it is 0 when the cores touch
+    and ``value`` is exact.
     """
 
     value: float
     witness: Point
     iterations: int
     converged: bool
-    gap: float = 0.0
+    bound: float
+
+    @property
+    def gap(self) -> float:
+        return self.bound - self.value
 
 
-def _golden_min(f: Callable[[float], float], a: float, b: float,
-                xtol: float) -> tuple[float, float, int]:
-    """Golden-section minimization of a convex function on [a, b]."""
-    if b - a <= xtol:
-        x = 0.5 * (a + b)
-        return x, f(x), 1
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    evals = 2
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    while b - a > xtol and evals < 200:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        evals += 1
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f, evals
+# Safeguarded Newton steps per inner solve, and the width of the bracket on
+# the dual variable at which the outer search stops.
+_NEWTON_CAP = 100
+_LAMBDA_TOL = 1e-13
+# Relative size below which the dual's slope counts as zero.
+_SLOPE_TOL = 1e-13
+# Search range for ln(nu) beyond the curve's bends; past it the minimiser
+# sits at an end of the gap to machine precision.
+_NU_MARGIN = 60.0
 
 
-def _pair_objective(c1: "Concept", cub1: Cuboid, c2: "Concept",
-                    cub2: Cuboid) -> Callable[[np.ndarray], float]:
-    """Convex objective whose minimum is -ln of the pair's best shared level."""
-    m1 = _compile(c1.space, c1.weights)
-    m2 = _compile(c2.space, c2.weights)
-    k1 = -math.log(c1.peak)
-    k2 = -math.log(c2.peak)
-    d1, d2 = c1.decay, c2.decay
-    lo1, hi1, lo2, hi2 = cub1.lo, cub1.hi, cub2.lo, cub2.hi
+class _Term:
+    """One domain's share ``h(l)`` of a cuboid pair's dual function.
 
-    def objective(x: np.ndarray) -> float:
-        f1 = d1 * _dist_to_box(x, lo1, hi1, m1) + k1
-        f2 = d2 * _dist_to_box(x, lo2, hi2, m2) + k2
-        return f1 if f1 >= f2 else f2
-
-    return objective
-
-
-def _solve_pair(obj: Callable[[np.ndarray], float], cub1: Cuboid, cub2: Cuboid,
-                tol: float, budget: int) -> tuple[float, np.ndarray, int, bool, float]:
-    """Derivative-free descent on the pair objective.
-
-    Cyclic coordinate descent with golden-section line searches, interleaved
-    with a line search along the segment joining the current clamps onto the
-    two cuboids (which crosses the kink where the two branches swap).
-    Starts from the midpoint of the cuboids' nearest points.
+    ``h(l) = min_t l*a*|t|_u + (1-l)*b*|delta - t|_v``, where ``delta`` is
+    the gap between the cuboids on the domain, ``|.|_u`` and ``|.|_v`` the
+    two concepts' weighted Euclidean norms there and ``a``, ``b`` their
+    decay times domain weight.  With ``rho = l*a / ((1-l)*b)``, moving the
+    whole gap away from the first cuboid (``t = delta``) is optimal while
+    ``rho <= r0``, moving none of it (``t = 0``) once ``rho >= rinf``, and in
+    between the minimiser lies on the curve
+    ``t_j = delta_j v_j / (v_j + nu u_j)``.  In the dual variable these
+    thresholds are ``lo <= hi``; when the norms are proportional on the gap,
+    ``lo == hi`` and ``h(l) = min(l*a*|delta|_u, (1-l)*b*|delta|_v)``.
     """
-    space = cub1.space
-    n = space.n
-    pa, pb = nearest_points(cub1, cub2)
-    x = 0.5 * (pa + pb)
-    g = obj(x)
-    for cand in (pa, pb, cub1.inner_point(), cub2.inner_point()):
-        val = obj(cand)
-        if val < g:
-            x, g = cand.astype(float), val
-    x = np.array(x, dtype=float)
 
-    lo1, hi1, lo2, hi2 = cub1.p_min, cub1.p_max, cub2.p_min, cub2.p_max
-    brackets = []
-    for i in range(n):
-        los = [v for v in (lo1[i], lo2[i]) if math.isfinite(v)]
-        his = [v for v in (hi1[i], hi2[i]) if math.isfinite(v)]
-        if los:
-            brackets.append((i, min(los), max(his)))
+    __slots__ = ("span", "a", "b", "n_u", "n_v", "lo", "hi", "u", "v", "dd",
+                 "s", "s_lo", "s_hi")
 
-    searches = 0
-    converged = False
-    gap = math.inf
-    while searches < budget:
-        g_start = g
-        sweep_complete = True
+    def __init__(self, span: slice, a: float, b: float, u: np.ndarray,
+                 v: np.ndarray, delta: np.ndarray):
+        self.span, self.a, self.b = span, a, b
+        dd = delta * delta
+        self.n_u = math.sqrt(float(u @ dd))
+        self.n_v = math.sqrt(float(v @ dd))
+        ratio = (v / u)[dd > 0]
+        edge = b * self.n_v / (a * self.n_u + b * self.n_v)
+        self.lo = self.hi = edge
+        if ratio.min() < ratio.max():
+            r0 = self.n_u / math.sqrt(float((u * u / v) @ dd))
+            rinf = math.sqrt(float((v * v / u) @ dd)) / self.n_v
+            lo, hi = r0 * b / (a + r0 * b), rinf * b / (a + rinf * b)
+            if lo < hi:
+                self.lo, self.hi = lo, hi
+                self.u, self.v, self.dd = u.tolist(), v.tolist(), dd.tolist()
+                bend_lo = math.log(float(ratio.min()))
+                bend_hi = math.log(float(ratio.max()))
+                self.s = 0.5 * (bend_lo + bend_hi)
+                self.s_lo = bend_lo - _NU_MARGIN
+                self.s_hi = bend_hi + _NU_MARGIN
 
-        p = cub1.clamp(x)
-        q = cub2.clamp(x)
-        direction = q - p
-        if float(np.abs(direction).max(initial=0.0)) > 0.0:
-            def along(t: float) -> float:
-                return obj(p + t * direction)
+    def at(self, lam: float, side: int) -> tuple[float, float, list[float]]:
+        """Slope term, certified lower bound on ``h(lam)`` and the fractions
+        ``t_j / delta_j`` of a minimiser.  ``side`` picks the one-sided
+        minimiser where ``lo == hi == lam`` (-1: left, +1: right)."""
+        width = self.span.stop - self.span.start
+        if lam < self.lo or (lam == self.lo and (side < 0 or self.lo < self.hi)):
+            return self.a * self.n_u, lam * self.a * self.n_u, [1.0] * width
+        if lam >= self.hi:
+            return -self.b * self.n_v, (1.0 - lam) * self.b * self.n_v, [0.0] * width
+        alpha, beta = lam * self.a, (1.0 - lam) * self.b
+        rho = alpha / beta
+        nu = math.exp(self._solve(math.log(rho)))
+        tu = tv = cross = 0.0
+        fracs = []
+        for u, v, d in zip(self.u, self.v, self.dd):
+            den = v + nu * u
+            q, p = v / den, nu * u / den
+            tu += u * d * q * q       # |t|_u^2
+            tv += v * d * p * p       # |delta - t|_v^2
+            cross += u * d * q        # <U t, delta>
+            fracs.append(q)
+        # Dual certificate y = alpha*U*t/|t|_u, scaled into the second
+        # norm's dual ball: h >= y . delta.
+        r = nu * math.sqrt(tu / tv)
+        lower = min(1.0, r / rho) * alpha * cross / math.sqrt(tu)
+        return self.a * math.sqrt(tu) - self.b * math.sqrt(tv), lower, fracs
 
-            t_best, f_best, _ = _golden_min(along, 0.0, 1.0, xtol=1e-12)
-            searches += 1
-            if f_best < g:
-                x = p + t_best * direction
-                g = f_best
-
-        for i, blo, bhi in brackets:
-            saved = x[i]
-
-            def axis(t: float) -> float:
-                x[i] = t
-                val = obj(x)
-                x[i] = saved
-                return val
-
-            xtol = 1e-12 * max(1.0, bhi - blo)
-            t_best, f_best, _ = _golden_min(axis, blo, bhi, xtol)
-            searches += 1
-            if f_best < g:
-                x[i] = t_best
-                g = f_best
-            if searches >= budget:
-                sweep_complete = False
+    def _solve(self, ln_rho: float) -> float:
+        """Root in ``s = ln nu`` of the stationarity condition
+        ``ln(nu |t|_u / |delta - t|_v) = ln rho``, increasing in ``s``."""
+        s, lo, hi = self.s, self.s_lo, self.s_hi
+        for _ in range(_NEWTON_CAP):
+            nu = math.exp(s)
+            tu = tv = tu_p = tv_p = 0.0
+            for u, v, d in zip(self.u, self.v, self.dd):
+                den = v + nu * u
+                q, p = v / den, nu * u / den
+                tu += u * d * q * q
+                tv += v * d * p * p
+                tu_p += u * d * q * q * p
+                tv_p += v * d * p * p * p
+            phi = 0.5 * math.log(tu / tv) + s - ln_rho
+            if phi > 0:
+                hi = s
+            elif phi < 0:
+                lo = s
+            else:
                 break
+            slope = tv_p / tv - tu_p / tu
+            step = s - phi / slope if slope > 0 else lo - 1.0
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            done = abs(step - s) <= 1e-12
+            s = step
+            if done:
+                break
+        self.s = s
+        return s
 
-        gap = g_start - g
-        if sweep_complete and gap <= tol:
-            converged = True
-            break
-    return g, x, searches, converged, gap
+
+def _pair_dual(k1: float, k2: float, terms: Sequence[_Term],
+               budget: int) -> tuple[float, list[list[float]], int]:
+    """Maximise one cuboid pair's dual ``g(l)`` over ``l`` in [0, 1].
+
+    ``g(l) = l*k1 + (1-l)*k2 + sum h(l)`` is concave, and its slope at
+    ``l`` is ``k1 + A - k2 - B`` for the minimiser's two weighted distances
+    ``A`` and ``B``.  The search brackets the sign change of that slope:
+    first over the jumps of proportional-norm terms, then by a bracketed
+    secant (Illinois) search over the continuous part.  Returns the largest
+    certified ``g``, the per-term fractions of a primal point mixed from
+    the bracket ends so that both sides balance, and the number of ``l``
+    values evaluated.
+    """
+    steps = 0
+    best = -math.inf
+
+    def state(lam: float, side: int) -> tuple[float, list[list[float]]]:
+        nonlocal steps, best
+        steps += 1
+        slope = k1 - k2
+        scale = abs(slope)
+        g = lam * k1 + (1.0 - lam) * k2
+        fracs = []
+        for term in terms:
+            ds, h, f = term.at(lam, side)
+            slope += ds
+            scale += abs(ds)
+            g += h
+            fracs.append(f)
+        best = max(best, g)
+        # A slope within rounding of 0 marks the maximum itself.
+        return (0.0 if abs(slope) <= _SLOPE_TOL * scale else slope), fracs
+
+    def mix(left, right) -> list[list[float]]:
+        theta = left[0] / (left[0] - right[0])
+        return [[x + theta * (y - x) for x, y in zip(fa, fb)]
+                for fa, fb in zip(left[1], right[1])]
+
+    low = state(0.0, 1)
+    if low[0] <= 0:
+        return best, low[1], steps
+    high = state(1.0, -1)
+    if high[0] >= 0:
+        return best, high[1], steps
+    lam_lo, lam_hi = 0.0, 1.0
+    jumps = sorted({t.lo for t in terms if t.lo == t.hi and 0.0 < t.lo < 1.0})
+    i, j = 0, len(jumps)
+    while i < j and steps < budget:
+        m = (i + j) // 2
+        left = state(jumps[m], -1)
+        if left[0] <= 0:
+            lam_hi, high, j = jumps[m], left, m
+            continue
+        right = state(jumps[m], 1)
+        if right[0] >= 0:
+            lam_lo, low, i = jumps[m], right, m + 1
+            continue
+        return best, mix(left, right), steps
+    # No jump is left inside the bracket, so the slope can change only
+    # where some term is strictly between its thresholds.
+    curved = [t for t in terms if t.lo < t.hi]
+    if curved:
+        lam_lo = max(lam_lo, min(t.lo for t in curved))
+        lam_hi = min(lam_hi, max(t.hi for t in curved))
+    f_lo, f_hi = low[0], high[0]
+    last = 0
+    while f_hi < 0 and lam_hi - lam_lo > _LAMBDA_TOL and steps < budget:
+        lam = lam_lo + (lam_hi - lam_lo) * f_lo / (f_lo - f_hi)
+        if not lam_lo < lam < lam_hi:
+            lam = 0.5 * (lam_lo + lam_hi)
+        mid = state(lam, 1)
+        if mid[0] > 0:
+            lam_lo, low, f_lo = lam, mid, mid[0]
+            if last > 0:
+                f_hi *= 0.5
+            last = 1
+        else:
+            lam_hi, high, f_hi = lam, mid, mid[0]
+            if last < 0:
+                f_lo *= 0.5
+            last = -1
+    return best, mix(low, high), steps
 
 
 def height_of_intersection(c1: "Concept", c2: "Concept",
@@ -271,10 +355,16 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
 
     Equals the supremum over the space of the pointwise minimum of the two
     membership functions.  When the crisp cores share a point the answer is
-    exactly the smaller peak.  Otherwise each cuboid pair contributes one
-    convex min-max subproblem; the reported value is the best full
-    membership minimum among all subproblem witnesses and midpoint
-    heuristics, so it never exceeds the true height.
+    exactly the smaller peak.  Otherwise the height is the largest over
+    cuboid pairs of ``sup min(mu1, mu2)``, and for each pair ``-ln`` of it
+    is ``max_l g(l)``, the Lagrangian dual of ``min_x max(f1, f2)`` with
+    ``f = -ln(peak) + decay * distance``.  The combined metric makes ``g``
+    separate by domain: closed form where the two concepts' norms on a
+    domain are proportional, one monotone equation otherwise.  The dual
+    gives the certified ``bound``; a point mixed from the search's last
+    bracket gives the attained ``value``.  ``max_iter`` caps the dual
+    values evaluated, split evenly over the cuboid pairs (at least two per
+    pair).
     """
     if c1.space != c2.space:
         raise ValidationError("concepts belong to different spaces")
@@ -287,42 +377,43 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
                 shared = a.intersect(b)
                 if shared is not None:
                     witness = Point(space, tuple(shared.inner_point()))
-                    return HeightResult(min(c1.peak, c2.peak), witness,
-                                        iterations=0, converged=True, gap=0.0)
-
-    pairs = [(a, b) for a in c1.core.cuboids for b in c2.core.cuboids]
-    budget = max(64, max_iter // len(pairs))
-    candidates: list[np.ndarray] = []
-    total = 0
-    all_converged = True
-    worst_gap = 0.0
-    for a, b in pairs:
-        obj = _pair_objective(c1, a, c2, b)
-        _, x, used, conv, gap = _solve_pair(obj, a, b, tol, budget)
-        total += used
-        all_converged &= conv
-        worst_gap = max(worst_gap, gap if math.isfinite(gap) else worst_gap)
-        candidates.append(x)
-        candidates.append(0.5 * (a.inner_point() + b.inner_point()))
+                    low = min(c1.peak, c2.peak)
+                    return HeightResult(low, witness, iterations=0,
+                                        converged=True, bound=low)
 
     m1 = _compile(space, c1.weights)
     m2 = _compile(space, c2.weights)
-
-    def min_membership(x: np.ndarray) -> float:
-        da = min(_dist_to_box(x, cub.lo, cub.hi, m1) for cub in c1.core.cuboids)
-        db = min(_dist_to_box(x, cub.lo, cub.hi, m2) for cub in c2.core.cuboids)
-        return min(c1.peak * math.exp(-c1.decay * da),
-                   c2.peak * math.exp(-c2.decay * db))
-
-    best_val = -1.0
-    best_x = candidates[0]
-    for x in candidates:
-        val = min_membership(x)
-        if val > best_val:
-            best_val, best_x = val, x
-    witness = Point(space, tuple(best_x))
-    return HeightResult(best_val, witness, iterations=total,
-                        converged=all_converged, gap=worst_gap)
+    ends = m1.starts.tolist()[1:] + [space.n]
+    domains = [(slice(start, stop), c1.decay * w1, c2.decay * w2)
+               for start, stop, w1, w2 in zip(m1.starts.tolist(), ends,
+                                              m1.wdom.tolist(), m2.wdom.tolist())
+               if w1 > 0 and w2 > 0]
+    k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
+    pairs = [(a, b) for a in c1.core.cuboids for b in c2.core.cuboids]
+    budget = max(2, max_iter // len(pairs))
+    witnesses = np.empty((len(pairs), space.n))
+    min_dual = math.inf
+    total = 0
+    for row, (a, b) in enumerate(pairs):
+        pa, pb = nearest_points(a, b)
+        delta = pb - pa
+        terms = [_Term(span, da, db, m1.wdim[span], m2.wdim[span], delta[span])
+                 for span, da, db in domains if delta[span].any()]
+        dual, fracs, steps = _pair_dual(k1, k2, terms, budget)
+        total += steps
+        min_dual = min(min_dual, dual)
+        f = np.zeros(space.n)
+        for term, frac in zip(terms, fracs):
+            f[term.span] = frac
+        witnesses[row] = pa + f * delta
+    values = np.minimum(c1.membership_batch(witnesses),
+                        c2.membership_batch(witnesses))
+    best = int(np.argmax(values))
+    value = float(values[best])
+    bound = max(math.exp(-min_dual), value)
+    return HeightResult(value, Point(space, tuple(witnesses[best].tolist())),
+                        iterations=total, converged=bound - value <= tol,
+                        bound=bound)
 
 
 def oracle_bounds(c1: "Concept", c2: "Concept",

@@ -90,6 +90,13 @@ def random_concept(rng: np.random.Generator, space: Space | None = None,
                    random_weights(rng, space))
 
 
+def translated(concept: Concept, offset: np.ndarray) -> Concept:
+    """The same concept with every cuboid shifted by ``offset``."""
+    cuboids = tuple(Cuboid(c.space, c.domains, tuple(c.lo + offset),
+                           tuple(c.hi + offset)) for c in concept.core.cuboids)
+    return Concept(Core(cuboids), concept.peak, concept.decay, concept.weights)
+
+
 def sample_window(concept: Concept, margin: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
     """Box around the core, widened by ``margin / decay`` per dimension."""
     lo, hi = concept.core.bounding_box()

@@ -19,7 +19,7 @@ from conceptspaces.cli import export_grid
 
 from conftest import (LINE, PLANE, between_points, box_core, line_concept,
                       random_concept, random_weights, sample_window,
-                      uniform_points)
+                      translated, uniform_points)
 
 
 class Timer:
@@ -323,6 +323,42 @@ def test_height_solver_matches_grid_oracle():
             assert attained == pytest.approx(result.value, rel=1e-9)
     report("height of intersection: solver matches the lattice oracle "
            "within 1e-3 on 20 fixtures", timer)
+
+
+def _segment_witness(c1, c2, steps=11):
+    """Best minimum membership over points that walk, in each domain on its
+    own, a fraction of the way between two cuboids' nearest points."""
+    space = c1.space
+    grid = np.linspace(0.0, 1.0, steps)
+    fracs = np.stack(np.meshgrid(*[grid] * len(space.domains)), -1)
+    fracs = fracs.reshape(-1, len(space.domains))
+    per_dim = np.repeat(fracs, [len(dims) for _, dims in space.domains], axis=1)
+    best = 0.0
+    for p in c1.core.cuboids:
+        for q in c2.core.cuboids:
+            start = np.where(p.hi < q.lo, p.hi,
+                             np.where(q.hi < p.lo, p.lo, np.maximum(p.lo, q.lo)))
+            end = np.clip(start, q.lo, q.hi)
+            pts = start + per_dim * (end - start)
+            best = max(best, float(np.minimum(c1.membership_batch(pts),
+                                              c2.membership_batch(pts)).max()))
+    return best
+
+
+def test_height_beats_segment_witness_in_multi_domain_spaces():
+    rng = np.random.default_rng(107)
+    with Timer(30.0) as timer:
+        for _ in range(30):
+            c1 = random_concept(rng, min_domains=2)
+            c2 = translated(random_concept(rng, c1.space),
+                            rng.uniform(-3.0, 3.0, c1.space.n))
+            result = height_of_intersection(c1, c2)
+            assert result.value >= _segment_witness(c1, c2) - 1e-12
+            assert result.bound - result.value <= 1e-6
+            assert result.converged
+    report("height of intersection: at least every per-domain segment "
+           "witness, certified gap within 1e-6, on 30 multi-domain pairs",
+           timer)
 
 
 # ---------------------------------------------------------------------------

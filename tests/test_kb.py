@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -74,6 +76,29 @@ class TestRoundTrip:
         kb.save(first)
         kb.save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_failed_save_leaves_old_file_intact(self, kb, tmp_path,
+                                                monkeypatch):
+        path = tmp_path / "kb.json"
+        KnowledgeBase(PLANE).save(path)
+        before = path.read_bytes()
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            kb.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kb.json"]
+
+    def test_save_keeps_permissions(self, kb, tmp_path):
+        path = tmp_path / "kb.json"
+        KnowledgeBase(PLANE).save(path)
+        path.chmod(0o640)
+        kb.save(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert KnowledgeBase.load(path).concepts.keys() == kb.concepts.keys()
 
     def test_empty_concept_map_is_valid(self, tmp_path):
         path = tmp_path / "kb.json"

@@ -9,9 +9,8 @@ from conceptspaces import (Concept, Core, Cuboid, LatticeSizeError, Space,
                            ValidationError, Weights, alpha_cut_bbox,
                            distance_to_cuboid, grid_oracle_max_min,
                            height_of_intersection, oracle_bounds)
-from conceptspaces.optimize import _pair_objective
-
-from conftest import LINE, PLANE, box_core, brute_min_distance, line_concept
+from conftest import (LINE, PLANE, box_core, brute_min_distance, line_concept,
+                      random_concept, random_space, translated)
 
 
 class TestDistanceToCuboid:
@@ -166,21 +165,59 @@ class TestHeightOfIntersection:
                     bound = min(c1.membership(mid), c2.membership(mid))
                     assert res.value >= bound - 1e-12
 
-    def test_pair_objective_is_convex_along_segments(self):
+    def test_bound_dominates_sampled_memberships(self):
+        # Weak duality: no point's minimum membership exceeds the dual bound,
+        # here on pairs whose dimension weights differ within a domain.
         rng = np.random.default_rng(35)
-        a = Concept(box_core(PLANE, [({"x": 0.0, "y": 0.0},
-                                      {"x": 1.0, "y": 2.0})]),
-                    0.9, 1.2, Weights.normalized(
-                        {"width": 1.3, "height": 0.7},
-                        {"width": {"x": 1.0}, "height": {"y": 1.0}}))
-        b = Concept(box_core(PLANE, [({"x": 3.0, "y": 1.0},
-                                      {"x": 4.0, "y": 4.0})]),
-                    1.0, 0.8, Weights.uniform(PLANE))
-        obj = _pair_objective(a, a.core.cuboids[0], b, b.core.cuboids[0])
-        for _ in range(500):
-            x, y = rng.uniform(-5, 8, (2, 2))
-            mid = 0.5 * (x + y)
-            assert obj(mid) <= 0.5 * (obj(x) + obj(y)) + 1e-9
+        for _ in range(12):
+            space = random_space(rng)
+            c1 = random_concept(rng, space)
+            c2 = translated(random_concept(rng, space),
+                             rng.uniform(-3.0, 3.0, space.n))
+            res = height_of_intersection(c1, c2, tol=1e-9)
+            assert res.value <= res.bound
+            assert res.converged and res.gap <= 1e-9
+            lo1, hi1 = c1.core.bounding_box()
+            lo2, hi2 = c2.core.bounding_box()
+            lo, hi = np.minimum(lo1, lo2) - 1.0, np.maximum(hi1, hi2) + 1.0
+            pts = np.vstack([rng.uniform(lo, hi, (400, space.n)),
+                             res.witness.array + rng.normal(0, 0.05, (200, space.n))])
+            sampled = np.minimum(c1.membership_batch(pts),
+                                 c2.membership_batch(pts))
+            assert sampled.max() <= res.bound * (1 + 1e-12)
+
+    def test_mixed_weights_regression_fixture(self):
+        # One 2-D domain whose two concepts weight its dimensions
+        # differently: the optimum leaves the straight nearest-point segment.
+        space = Space((("a", ("a1", "a2")),))
+        first = Concept(box_core(space, [
+            ({"a1": -0.05802493977537493, "a2": -0.16322183447831717},
+             {"a1": 0.28372288403492607, "a2": 0.8612192821865905}),
+            ({"a1": 0.020102710463602125, "a2": -0.5184570492592775},
+             {"a1": 0.27688516947476594, "a2": 1.21671354334463}),
+        ]), 0.5279595521021805, 0.5949269951217153, Weights(
+            {"a": 1.0}, {"a": {"a1": 0.6610062459611749,
+                               "a2": 0.33899375403882515}}))
+        second = Concept(box_core(space, [
+            ({"a1": -2.5263007364801644, "a2": -2.643467130197015},
+             {"a1": -1.4054956597445334, "a2": -1.736864587322783}),
+            ({"a1": -2.4697318859381974, "a2": -2.802305129389894},
+             {"a1": -1.2400135448861045, "a2": -2.357318928507642}),
+            ({"a1": -2.5622904190990456, "a2": -3.3249353144148523},
+             {"a1": -1.505873722368524, "a2": -1.7651400049649513}),
+        ]), 0.8077081398963799, 1.0843087407273566, Weights(
+            {"a": 1.0}, {"a": {"a1": 0.3520047076459782,
+                               "a2": 0.6479952923540218}}))
+        res = height_of_intersection(first, second)
+        step = 4e-3
+        window = {"a1": (-1.5, 0.0), "a2": (-2.0, -0.5)}   # holds the optimum
+        oracle = grid_oracle_max_min(first, second, window, step)
+        # A lattice point lies within step/2 of the optimum on each axis.
+        step_error = (max(first.peak, second.peak)
+                      * max(first.decay, second.decay) * step)
+        assert abs(res.value - oracle) <= 1e-3
+        assert res.value >= oracle - step_error
+        assert res.converged and res.gap <= 1e-6
 
 
 class TestGridOracle:
