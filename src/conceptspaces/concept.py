@@ -77,9 +77,11 @@ class Concept:
 
     def membership(self, x: Point) -> float:
         """Graded membership of a point, in (0, peak]."""
-        dist = min(optimize.distance_to_cuboid(x, c, self.weights)
-                   for c in self.core.cuboids)
-        return self.peak * math.exp(-self.decay * dist)
+        if x.space is not self.space and x.space != self.space:
+            raise ValidationError("point and concept belong to different spaces")
+        dist = optimize.core_distance_batch(x.array[None, :], self.core,
+                                            self.weights)
+        return float((self.peak * np.exp(-self.decay * dist))[0])
 
     def membership_batch(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized membership over rows of coordinates in space order."""
@@ -105,29 +107,9 @@ class Concept:
         is the smaller of the two, shared weights are blended, exclusive
         ones copied, and domain weights renormalized.
         """
-        params = params or CombinationParams()
-        result = optimize.height_of_intersection(self, other, tol=tol,
-                                                 max_iter=max_iter)
-        alpha = result.value
-        if alpha < ALPHA_FLOOR:
-            raise UnrelatedConceptsError(
-                f"height of intersection {alpha!r} is below the floor "
-                f"{ALPHA_FLOOR}; the concepts are effectively unrelated")
-        if cores_intersect(self.core, other.core):
-            core = self.core.intersect(other.core)
-        else:
-            boxes_a = Core(tuple(
-                optimize.alpha_cut_bbox(c, self.peak, self.decay,
-                                        self.weights, alpha)
-                for c in self.core.cuboids))
-            boxes_b = Core(tuple(
-                optimize.alpha_cut_bbox(c, other.peak, other.decay,
-                                        other.weights, alpha)
-                for c in other.core.cuboids))
-            core = boxes_a.intersect(boxes_b)
-        weights = _combine_weights(self.weights, other.weights,
-                                   core.domain_set, params)
-        return Concept(core, alpha, min(self.decay, other.decay), weights)
+        alpha = optimize.height_of_intersection(self, other, tol=tol,
+                                                max_iter=max_iter).value
+        return _intersect_at(self, other, alpha, params)
 
     def union(self, other: "Concept",
               params: CombinationParams | None = None) -> "Concept":
@@ -149,6 +131,28 @@ class Concept:
         core = self.core.project(target)
         return Concept(core, self.peak, self.decay,
                        _project_weights(self.weights, target))
+
+
+def _intersect_at(a: Concept, b: Concept, alpha: float,
+                  params: CombinationParams | None) -> Concept:
+    """:meth:`Concept.intersect` for a known height of intersection."""
+    params = params or CombinationParams()
+    if alpha < ALPHA_FLOOR:
+        raise UnrelatedConceptsError(
+            f"height of intersection {alpha!r} is below the floor "
+            f"{ALPHA_FLOOR}; the concepts are effectively unrelated")
+    if cores_intersect(a.core, b.core):
+        core = a.core.intersect(b.core)
+    else:
+        boxes_a = Core(tuple(
+            optimize.alpha_cut_bbox(c, a.peak, a.decay, a.weights, alpha)
+            for c in a.core.cuboids))
+        boxes_b = Core(tuple(
+            optimize.alpha_cut_bbox(c, b.peak, b.decay, b.weights, alpha)
+            for c in b.core.cuboids))
+        core = boxes_a.intersect(boxes_b)
+    weights = _combine_weights(a.weights, b.weights, core.domain_set, params)
+    return Concept(core, alpha, min(a.decay, b.decay), weights)
 
 
 def _combine_weights(w1: Weights, w2: Weights, domains: Iterable[str],
@@ -282,7 +286,7 @@ def combine_adjective_noun(prop: Concept, noun: Concept,
     height = optimize.height_of_intersection(prop, noun, tol=tol,
                                              max_iter=max_iter).value
     if height >= threshold:
-        return prop.intersect(noun, params, tol, max_iter)
+        return _intersect_at(prop, noun, height, params)
     rest = noun.core.domain_set - {prop_domain}
     if not rest:
         # Nothing of the concept survives the replacement; the property is

@@ -11,7 +11,7 @@ cuboid to a shared meet point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -186,7 +186,12 @@ def nearest_points(a: Cuboid, b: Cuboid) -> tuple[np.ndarray, np.ndarray]:
     nearest under any weighted combined metric because per-dimension gaps
     are independent.
     """
-    lo1, hi1, lo2, hi2 = a.lo, a.hi, b.lo, b.hi
+    return _facing_points(a.lo, a.hi, b.lo, b.hi)
+
+
+def _facing_points(lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray,
+                   hi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nearest_points` on bound arrays, broadcasting over boxes."""
     t = np.maximum(lo1, lo2)
     u = np.minimum(hi1, hi2)
     shared = np.clip(0.0, t, u)
@@ -237,6 +242,9 @@ class Core:
     """
 
     cuboids: tuple[Cuboid, ...]
+    # The member cuboids' bounds stacked one row each (k x n), read-only.
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cubs = tuple(self.cuboids)
@@ -249,7 +257,12 @@ class Core:
                 raise ValidationError("cuboids belong to different spaces")
         if not frozenset().union(*(c.domains for c in cubs)):
             raise ValidationError("a core must cover at least one domain")
-        if central_region(cubs) is None:
+        lo = np.array([c.p_min for c in cubs])
+        hi = np.array([c.p_max for c in cubs])
+        lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if np.any(lo.max(axis=0) > hi.min(axis=0)):
             raise ValidationError(
                 "cuboids have an empty common intersection; apply repair() "
                 "before building a core")
@@ -264,9 +277,8 @@ class Core:
 
     @cached_property
     def central_region(self) -> Cuboid:
-        region = central_region(self.cuboids)
-        assert region is not None  # guaranteed by construction
-        return region
+        return Cuboid(self.space, self.domain_set, tuple(self.lo.max(axis=0)),
+                      tuple(self.hi.min(axis=0)))
 
     @cached_property
     def central_point(self) -> Point:
@@ -285,9 +297,7 @@ class Core:
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension hull of all member cuboids (may be infinite)."""
-        lo = np.min([c.p_min for c in self.cuboids], axis=0)
-        hi = np.max([c.p_max for c in self.cuboids], axis=0)
-        return lo, hi
+        return self.lo.min(axis=0), self.hi.max(axis=0)
 
     def intersect(self, other: "Core") -> "Core":
         """Pairwise cuboid intersection with repair.
@@ -336,31 +346,22 @@ class Core:
 
 def cores_intersect(a: Core, b: Core) -> bool:
     """Whether the two unions of cuboids share at least one point."""
-    return any(x.intersect(y) is not None
-               for x in a.cuboids for y in b.cuboids)
+    if a.space != b.space:
+        raise ValidationError("cores belong to different spaces")
+    lo = np.maximum(a.lo[:, None], b.lo)
+    hi = np.minimum(a.hi[:, None], b.hi)
+    return bool(np.any(np.all(lo <= hi, axis=-1)))
+
+
+def nearest_point_pairs(a: Core, b: Core) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nearest_points` of every cuboid pair, shape ``(ka, kb, n)``."""
+    return _facing_points(a.lo[:, None], a.hi[:, None], b.lo, b.hi)
 
 
 def _nearest_between(a: Core, b: Core) -> tuple[np.ndarray, np.ndarray]:
     """Nearest point pair between two cores under uniform weights."""
-    space = a.space
-    weights = Weights.uniform(space, sorted(a.domain_set | b.domain_set))
-    blocks = [(weights.domain_weights[name],
-               [(space.index_of(d), weights.dimension_weights[name][d])
-                for d in space.dims_of(name)])
-              for name in space.domain_names
-              if name in weights.domain_set]
-    best = None
-    for x in a.cuboids:
-        for y in b.cuboids:
-            pa, pb = nearest_points(x, y)
-            dist = 0.0
-            for w_dom, dims in blocks:
-                acc = 0.0
-                for i, w_dim in dims:
-                    diff = pa[i] - pb[i]
-                    acc += w_dim * diff * diff
-                dist += w_dom * math.sqrt(acc)
-            if best is None or dist < best[0]:
-                best = (dist, pa, pb)
-    assert best is not None
-    return best[1], best[2]
+    weights = Weights.uniform(a.space, sorted(a.domain_set | b.domain_set))
+    pa, pb = nearest_point_pairs(a, b)
+    dist = weights.metric(a.space).distance(pb - pa)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    return pa[i, j], pb[i, j]

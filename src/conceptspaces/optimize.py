@@ -1,24 +1,26 @@
-"""Numeric kernels.
+"""Numeric algorithms over concepts.
 
-Exact point-to-cuboid distance via per-dimension clamping, the height of
-intersection of two fuzzy concepts (largest membership level at which their
-level sets still meet), and a brute-force lattice oracle used to cross-check
-it.  The height is solved per cuboid pair through the Lagrangian dual of the
-convex min-max, which separates by domain under the combined metric; it
-comes with an attained value, a witness point and a certified upper bound.
+Exact distance from points to cuboids and cores via per-dimension clamping,
+the height of intersection of two fuzzy concepts (largest membership level at
+which their level sets still meet), and a brute-force lattice oracle used to
+cross-check it.  This module computes gaps; the compiled metric of
+:mod:`conceptspaces.space` turns them into distances.  The height is solved
+per cuboid pair through the Lagrangian dual of the convex min-max, which
+separates by domain under the combined metric; it comes with an attained
+value, a witness point and a certified upper bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import LatticeSizeError, ValidationError
-from .geometry import Core, Cuboid, cores_intersect, nearest_points
-from .space import Point, Space, Weights
+from .geometry import Core, Cuboid, nearest_point_pairs
+from .space import Point, Weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .concept import Concept
@@ -28,47 +30,9 @@ DEFAULT_MAX_ITER = 10_000
 DEFAULT_CELL_CAP = 20_000_000
 
 
-class _MetricArrays(NamedTuple):
-    """Weights compiled against a space for vectorized distance evaluation."""
-
-    starts: np.ndarray   # first dimension index of every domain
-    wdom: np.ndarray     # per-domain weight, 0 for uncovered domains
-    wdim: np.ndarray     # per-dimension weight, 0 for uncovered dimensions
-
-
-def _compile(space: Space, weights: Weights) -> _MetricArrays:
-    unknown = weights.domain_set - set(space.domain_names)
-    if unknown:
-        raise ValidationError(f"weights cover unknown domains {sorted(unknown)}")
-    starts = []
-    wdom = []
-    wdim = np.zeros(space.n)
-    pos = 0
-    for name, dims in space.domains:
-        starts.append(pos)
-        if name in weights.domain_set:
-            wdom.append(weights.domain_weights[name])
-            for d in dims:
-                wdim[pos] = weights.dim_weight(name, d)
-                pos += 1
-        else:
-            wdom.append(0.0)
-            pos += len(dims)
-    return _MetricArrays(np.asarray(starts), np.asarray(wdom), wdim)
-
-
-def _dist_to_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 m: _MetricArrays) -> float:
-    gap = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
-    sq = m.wdim * gap * gap
-    return float(np.sqrt(np.add.reduceat(sq, m.starts)) @ m.wdom)
-
-
-def _dist_to_box_batch(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                       m: _MetricArrays) -> np.ndarray:
-    gap = np.maximum(lo - coords, 0.0) + np.maximum(coords - hi, 0.0)
-    sq = gap * gap * m.wdim
-    return np.sqrt(np.add.reduceat(sq, m.starts, axis=1)) @ m.wdom
+# Entries of the point-by-cuboid gap array evaluated at once, which bounds
+# the memory of a batch independently of its size.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def distance_to_cuboid(x: Point, cuboid: Cuboid, weights: Weights) -> float:
@@ -82,19 +46,23 @@ def distance_to_cuboid(x: Point, cuboid: Cuboid, weights: Weights) -> float:
     if not cuboid.domains <= weights.domain_set:
         missing = sorted(cuboid.domains - weights.domain_set)
         raise ValidationError(f"weights do not cover domains {missing}")
-    m = _compile(x.space, weights)
-    return _dist_to_box(x.array, cuboid.lo, cuboid.hi, m)
+    gap = np.minimum(np.maximum(x.array, cuboid.lo), cuboid.hi) - x.array
+    return float(weights.metric(x.space).distance(gap))
 
 
 def core_distance_batch(coords: np.ndarray, core: Core,
                         weights: Weights) -> np.ndarray:
     """Minimum combined distance from each coordinate row to a core."""
     coords = np.asarray(coords, dtype=float)
-    m = _compile(core.space, weights)
-    best = _dist_to_box_batch(coords, core.cuboids[0].lo, core.cuboids[0].hi, m)
-    for c in core.cuboids[1:]:
-        np.minimum(best, _dist_to_box_batch(coords, c.lo, c.hi, m), out=best)
-    return best
+    metric = weights.metric(core.space)
+    lo, hi = core.lo, core.hi
+    rows = max(1, _BLOCK_ENTRIES // lo.size)
+    out = np.empty(len(coords))
+    for start in range(0, len(coords), rows):
+        block = coords[start:start + rows, None, :]
+        gap = np.minimum(np.maximum(block, lo), hi) - block
+        out[start:start + rows] = metric.distance(gap).min(axis=1)
+    return out
 
 
 def alpha_cut_bbox(cuboid: Cuboid, peak: float, decay: float,
@@ -116,16 +84,11 @@ def alpha_cut_bbox(cuboid: Cuboid, peak: float, decay: float,
         raise ValidationError(f"weights do not cover domains {missing}")
     r = math.log(peak / alpha) / decay
     space = cuboid.space
-    lo = list(cuboid.p_min)
-    hi = list(cuboid.p_max)
-    for name in cuboid.domains:
-        w_dom = weights.weight_of(name)
-        for d in space.dims_of(name):
-            off = r / (w_dom * math.sqrt(weights.dim_weight(name, d)))
-            i = space.index_of(d)
-            lo[i] -= off
-            hi[i] += off
-    return Cuboid(space, cuboid.domains, tuple(lo), tuple(hi))
+    lo, hi = np.array(cuboid.p_min), np.array(cuboid.p_max)
+    own = np.isfinite(lo)
+    off = np.zeros(space.n)
+    off[own] = r / weights.metric(space).axis_rates()[own]
+    return Cuboid(space, cuboid.domains, tuple(lo - off), tuple(hi + off))
 
 
 @dataclass(frozen=True)
@@ -371,32 +334,31 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
     space = c1.space
-    if cores_intersect(c1.core, c2.core):
-        for a in c1.core.cuboids:
-            for b in c2.core.cuboids:
-                shared = a.intersect(b)
-                if shared is not None:
-                    witness = Point(space, tuple(shared.inner_point()))
-                    low = min(c1.peak, c2.peak)
-                    return HeightResult(low, witness, iterations=0,
-                                        converged=True, bound=low)
+    near1, near2 = nearest_point_pairs(c1.core, c2.core)
+    points = near1.reshape(-1, space.n)
+    deltas = near2.reshape(-1, space.n) - points
+    touching = np.flatnonzero(~deltas.any(axis=1))
+    if touching.size:
+        i, j = divmod(int(touching[0]), len(c2.core.cuboids))
+        shared = c1.core.cuboids[i].intersect(c2.core.cuboids[j])
+        witness = Point(space, tuple(shared.inner_point()))
+        low = min(c1.peak, c2.peak)
+        return HeightResult(low, witness, iterations=0, converged=True,
+                            bound=low)
 
-    m1 = _compile(space, c1.weights)
-    m2 = _compile(space, c2.weights)
+    m1 = c1.weights.metric(space)
+    m2 = c2.weights.metric(space)
     ends = m1.starts.tolist()[1:] + [space.n]
     domains = [(slice(start, stop), c1.decay * w1, c2.decay * w2)
                for start, stop, w1, w2 in zip(m1.starts.tolist(), ends,
                                               m1.wdom.tolist(), m2.wdom.tolist())
                if w1 > 0 and w2 > 0]
     k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
-    pairs = [(a, b) for a in c1.core.cuboids for b in c2.core.cuboids]
-    budget = max(2, max_iter // len(pairs))
-    witnesses = np.empty((len(pairs), space.n))
+    budget = max(2, max_iter // len(deltas))
+    witnesses = np.empty_like(deltas)
     min_dual = math.inf
     total = 0
-    for row, (a, b) in enumerate(pairs):
-        pa, pb = nearest_points(a, b)
-        delta = pb - pa
+    for row, (pa, delta) in enumerate(zip(points, deltas)):
         terms = [_Term(span, da, db, m1.wdim[span], m2.wdim[span], delta[span])
                  for span, da, db in domains if delta[span].any()]
         dual, fracs, steps = _pair_dual(k1, k2, terms, budget)
@@ -425,28 +387,20 @@ def oracle_bounds(c1: "Concept", c2: "Concept",
     concept's weights.
     """
     space = c1.space
-    out: dict[str, tuple[float, float]] = {}
-    for name, dims in space.domains:
-        for d in dims:
-            i = space.index_of(d)
-            lo_candidates = []
-            hi_candidates = []
-            for concept in (c1, c2):
-                if name not in concept.core.domain_set:
-                    continue
-                los = [c.p_min[i] for c in concept.core.cuboids
-                       if math.isfinite(c.p_min[i])]
-                if not los:
-                    continue
-                his = [c.p_max[i] for c in concept.core.cuboids]
-                w_dom = concept.weights.weight_of(name)
-                w_dim = concept.weights.dim_weight(name, d)
-                off = (factor / concept.decay) / (w_dom * math.sqrt(w_dim))
-                lo_candidates.append(min(los) - off)
-                hi_candidates.append(max(h for h in his if math.isfinite(h)) + off)
-            if lo_candidates:
-                out[d] = (min(lo_candidates), max(hi_candidates))
-    return out
+    lows, highs = [], []
+    for concept in (c1, c2):
+        core = concept.core
+        lo = np.where(np.isfinite(core.lo), core.lo, np.inf).min(axis=0)
+        hi = np.where(np.isfinite(core.hi), core.hi, -np.inf).max(axis=0)
+        bounded = np.isfinite(lo)
+        off = np.zeros(space.n)
+        rates = concept.weights.metric(space).axis_rates()
+        off[bounded] = (factor / concept.decay) / rates[bounded]
+        lows.append(lo - off)
+        highs.append(hi + off)
+    lo, hi = np.minimum(*lows), np.maximum(*highs)
+    return {d: (float(lo[i]), float(hi[i]))
+            for i, d in enumerate(space.dim_names) if math.isfinite(lo[i])}
 
 
 def grid_oracle_max_min(c1: "Concept", c2: "Concept",
@@ -485,21 +439,6 @@ def grid_oracle_max_min(c1: "Concept", c2: "Concept",
             for d, count in zip(lattice_dims, counts)]
 
     idx = [space.index_of(d) for d in lattice_dims]
-    m1 = _compile(space, c1.weights)
-    m2 = _compile(space, c2.weights)
-    boxes1 = [(c.lo, c.hi) for c in c1.core.cuboids]
-    boxes2 = [(c.lo, c.hi) for c in c2.core.cuboids]
-
-    def batch_min(coords: np.ndarray) -> np.ndarray:
-        da = _dist_to_box_batch(coords, boxes1[0][0], boxes1[0][1], m1)
-        for lo, hi in boxes1[1:]:
-            np.minimum(da, _dist_to_box_batch(coords, lo, hi, m1), out=da)
-        db = _dist_to_box_batch(coords, boxes2[0][0], boxes2[0][1], m2)
-        for lo, hi in boxes2[1:]:
-            np.minimum(db, _dist_to_box_batch(coords, lo, hi, m2), out=db)
-        return np.minimum(c1.peak * np.exp(-c1.decay * da),
-                          c2.peak * np.exp(-c2.decay * db))
-
     best = -math.inf
     chunk = 1 << 17
     for start in range(0, total, chunk):
@@ -509,6 +448,7 @@ def grid_oracle_max_min(c1: "Concept", c2: "Concept",
         coords = np.zeros((stop - start, space.n))
         for k, dim_i in enumerate(idx):
             coords[:, dim_i] = axes[k][multi[k]]
-        values = batch_min(coords)
+        values = np.minimum(c1.membership_batch(coords),
+                            c2.membership_batch(coords))
         best = max(best, float(values.max()))
     return best

@@ -5,6 +5,12 @@ within a domain is a weighted Euclidean metric; distances of different
 domains are combined by a weighted Manhattan sum.  Similarity decays
 exponentially with distance, and betweenness is the additive triangle
 equality under the combined metric.
+
+Every distance in the package is evaluated by one kernel: :class:`Metric`,
+the weights compiled against a space, maps per-dimension gaps to per-domain
+norms and combined distances over arrays of any leading shape.  It rescales
+gaps whose squares could overflow, so distances stay finite and accurate up
+to the largest finite coordinates.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from .errors import ValidationError
 
 # Absolute tolerance for weight normalization checks.
 WEIGHT_TOL = 1e-9
+# Gaps up to this size square and sum to well below the largest float, for
+# any practical number of dimensions; larger ones are rescaled first.
+_SQUARE_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,15 @@ class Space:
     @cached_property
     def _dim_domain(self) -> dict[str, str]:
         return {d: name for name, dims in self.domains for d in dims}
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """First dimension of every domain, and the domain of every dimension."""
+        sizes = [len(dims) for _, dims in self.domains]
+        starts = np.cumsum([0] + sizes[:-1])
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        starts.flags.writeable = owner.flags.writeable = False
+        return starts, owner
 
     @property
     def n(self) -> int:
@@ -218,6 +236,14 @@ class Weights:
                 f"missing dimension weight for {dim!r} in domain {domain!r}"
             ) from None
 
+    def metric(self, space: Space) -> "Metric":
+        """These weights compiled against a space, cached for the last one."""
+        cached = getattr(self, "_metric", None)
+        if cached is None or (cached.space is not space and cached.space != space):
+            cached = Metric(space, self)
+            object.__setattr__(self, "_metric", cached)
+        return cached
+
     @classmethod
     def uniform(cls, space: Space, domains: Iterable[str] | None = None) -> "Weights":
         """Equal domain weights and equal dimension weights within each domain."""
@@ -250,6 +276,56 @@ class Weights:
         return cls(dw, dimw)
 
 
+class Metric:
+    """Weights compiled against a space for array evaluation of the metric.
+
+    ``wdom`` holds one weight per domain of the space and ``wdim`` one per
+    dimension, both 0 where the weights do not cover the domain; ``starts``
+    and ``domain_index`` are the space's domain layout.  Gaps are arrays of
+    shape ``(..., n)`` in space order.
+    """
+
+    __slots__ = ("space", "starts", "domain_index", "wdom", "wdim")
+
+    def __init__(self, space: Space, weights: Weights):
+        unknown = weights.domain_set - set(space.domain_names)
+        if unknown:
+            raise ValidationError(f"weights cover unknown domains {sorted(unknown)}")
+        self.space = space
+        self.starts, self.domain_index = space._layout
+        self.wdom = np.array([weights.domain_weights.get(name, 0.0)
+                              for name in space.domain_names])
+        self.wdim = np.array([weights.dim_weight(name, d)
+                              if name in weights.domain_set else 0.0
+                              for name, dims in space.domains for d in dims])
+
+    def domain_norms(self, gap: np.ndarray) -> np.ndarray:
+        """Weighted Euclidean norm of the gaps on every domain, ``(..., D)``.
+
+        When a gap could overflow its square, each domain's gaps are divided
+        by their largest magnitude first.  Gaps smaller than about 1e-160
+        square to 0 and count as no gap.
+        """
+        mag = np.abs(gap)
+        scale = None
+        if _SQUARE_LIMIT < mag.max(initial=0.0) < math.inf:
+            scale = np.maximum.reduceat(mag, self.starts, axis=-1)
+            scale[scale == 0.0] = 1.0
+            gap = gap / scale[..., self.domain_index]
+        sq = gap * gap
+        sq *= self.wdim
+        norms = np.sqrt(np.add.reduceat(sq, self.starts, axis=-1))
+        return norms if scale is None else norms * scale
+
+    def distance(self, gap: np.ndarray) -> np.ndarray:
+        """Combined distance of the gaps, shape ``(...)``."""
+        return self.domain_norms(gap) @ self.wdom
+
+    def axis_rates(self) -> np.ndarray:
+        """Combined distance per unit of movement along each dimension alone."""
+        return self.wdom[self.domain_index] * np.sqrt(self.wdim)
+
+
 def _check_same_space(x: Point, y: Point) -> None:
     if x.space is not y.space and x.space != y.space:
         raise ValidationError("points belong to different spaces")
@@ -260,37 +336,14 @@ def domain_distance(x: Point, y: Point, domain: str, weights: Weights) -> float:
     _check_same_space(x, y)
     if domain not in weights.domain_set:
         raise ValidationError(f"domain {domain!r} is not covered by the weights")
-    space = x.space
-    acc = 0.0
-    for d in space.dims_of(domain):
-        w = weights.dim_weight(domain, d)
-        diff = x.coords[space.index_of(d)] - y.coords[space.index_of(d)]
-        acc += w * diff * diff
-    return math.sqrt(acc)
+    norms = weights.metric(x.space).domain_norms(x.array - y.array)
+    return float(norms[x.space.domain_names.index(domain)])
 
 
 def combined_distance(x: Point, y: Point, weights: Weights) -> float:
     """Weighted Manhattan combination of the per-domain Euclidean distances."""
     _check_same_space(x, y)
-    space = x.space
-    total = 0.0
-    for name, dims in space.domains:
-        if name not in weights.domain_set:
-            continue
-        sub = weights.dimension_weights[name]
-        acc = 0.0
-        for d in dims:
-            try:
-                w = sub[d]
-            except KeyError:
-                raise ValidationError(
-                    f"missing dimension weight for {d!r} in domain {name!r}"
-                ) from None
-            i = space._dim_index[d]
-            diff = x.coords[i] - y.coords[i]
-            acc += w * diff * diff
-        total += weights.domain_weights[name] * math.sqrt(acc)
-    return total
+    return float(weights.metric(x.space).distance(x.array - y.array))
 
 
 def similarity(x: Point, y: Point, decay: float, weights: Weights) -> float:
@@ -308,11 +361,12 @@ def between(x: Point, y: Point, z: Point, weights: Weights,
     tolerance is relative, ``1e-9 * (1 + d(x,z))``, so the predicate
     survives coordinate rescaling.
     """
-    d_xz = combined_distance(x, z, weights)
+    _check_same_space(x, y)
+    _check_same_space(y, z)
+    if tol is not None and tol < 0:
+        raise ValidationError("tolerance must be non-negative")
+    gaps = np.array((x.array - z.array, x.array - y.array, y.array - z.array))
+    d_xz, d_xy, d_yz = weights.metric(x.space).distance(gaps).tolist()
     if tol is None:
         tol = 1e-9 * (1.0 + d_xz)
-    elif tol < 0:
-        raise ValidationError("tolerance must be non-negative")
-    d_xy = combined_distance(x, y, weights)
-    d_yz = combined_distance(y, z, weights)
     return abs(d_xy + d_yz - d_xz) <= tol

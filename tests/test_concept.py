@@ -1,14 +1,15 @@
 """Fuzzy concepts: membership, level sets, the fuzzy operations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conceptspaces import (CombinationParams, Concept, Core, Cuboid, Space,
-                           UnrelatedConceptsError, ValidationError, Weights,
-                           combine_adjective_noun, combined_distance,
-                           subsethood_check)
+from conceptspaces import (CombinationParams, Concept, Core, Cuboid, Point,
+                           Space, UnrelatedConceptsError, ValidationError,
+                           Weights, combine_adjective_noun, combined_distance,
+                           domain_distance, optimize, subsethood_check)
 
 from conftest import (LINE, PLANE, between_points, box_core,
                       brute_min_distance, line_concept, random_concept,
@@ -84,6 +85,51 @@ class TestMembership:
         for row, expected in zip(pts, batch):
             assert fig_cross.membership(as_point(PLANE, row)) == pytest.approx(
                 expected, rel=1e-12)
+
+    def test_extreme_coordinates_do_not_overflow(self):
+        # 1e300 squared overflows; the true distance is 1e300, so with decay
+        # 1e-300 the membership is exactly exp(-1).
+        space = Space((("a", ("x", "y")),))
+        weights = Weights.uniform(space)
+        core = box_core(space, [({"x": 0.0, "y": 0.0}, {"x": 0.0, "y": 0.0})])
+        concept = Concept(core, 1.0, 1e-300, weights)
+        far = space.point({"x": 1e300, "y": 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = concept.membership(far)
+            batch = concept.membership_batch(np.array([[1e300, 1e300]]))
+            dist = combined_distance(far, space.point({"x": 0.0, "y": 0.0}),
+                                     weights)
+        assert scalar == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert batch[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert math.isfinite(dist)
+
+    def test_extreme_gaps_leave_ordinary_ones_exact(self):
+        # Rescaling for one huge gap must not flush the other rows, or the
+        # other domains of the same row, to zero.
+        weights = Weights.uniform(MIXED)
+        core = box_core(MIXED, [({"hue": 0.0, "sat": 0.0, "diam": 0.0},
+                                 {"hue": 0.0, "sat": 0.0, "diam": 0.0})])
+        coords = np.array([[1e300, 1e300, 3.0], [3.0, 4.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = optimize.core_distance_batch(coords, core, weights)
+            size = domain_distance(as_point(MIXED, coords[0]),
+                                   as_point(MIXED, (0.0, 0.0, 0.0)),
+                                   "size", weights)
+        np.testing.assert_allclose(got, [1e300, math.sqrt(12.5)], rtol=1e-12)
+        assert size == 3.0
+
+    def test_point_from_another_layout_is_rejected(self):
+        # Same dimensions, grouped into domains differently.
+        other = Space((("color", ("hue",)), ("tone", ("sat",)),
+                       ("size", ("diam",))))
+        concept = Concept(
+            box_core(MIXED, [({"hue": 0.0, "sat": 0.0, "diam": 0.0},
+                              {"hue": 1.0, "sat": 1.0, "diam": 1.0})]),
+            1.0, 1.0, Weights.uniform(MIXED))
+        with pytest.raises(ValidationError):
+            concept.membership(Point(other, (0.5, 0.5, 0.5)))
 
     def test_lipschitz_continuity(self):
         rng = np.random.default_rng(43)
@@ -336,6 +382,23 @@ class TestAdjectiveNoun:
         region = got.core.central_region
         hue = MIXED.index_of("hue")
         assert region.p_min[hue] >= 0.2 and region.p_max[hue] <= 0.6
+
+    @pytest.mark.parametrize("hue", [(0.2, 0.6), (1.2, 1.5)])
+    def test_compatible_pair_solves_the_height_once(self, monkeypatch, hue):
+        prop = self.build_property(*hue)
+        noun = self.build_noun(0.0, 1.0)
+        expected = prop.intersect(noun)
+        calls = []
+        solve = optimize.height_of_intersection
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "height_of_intersection", counted)
+        got = combine_adjective_noun(prop, noun, threshold=0.5)
+        assert len(calls) == 1
+        assert got == expected
 
     def test_incompatible_pair_replaces(self):
         rng = np.random.default_rng(49)
