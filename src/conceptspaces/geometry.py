@@ -6,6 +6,13 @@ common intersection (the central region) is non-empty, which makes the union
 star-shaped under the combined metric.  The repair mechanism restores a
 non-empty central region after intersections and unions by extending every
 cuboid to a shared meet point.
+
+A core keeps its members' bounds stacked as ``(k, n)`` arrays.  Intersection,
+union and projection work on those arrays (all cuboid pairs in one
+broadcast), drop duplicate rows, test and repair the central region, and
+build validated cuboids only for the rows that survive.  Which dimensions a
+domain set owns is cached per space, so each cuboid's validation is a single
+pass over its bounds.
 """
 
 from __future__ import annotations
@@ -13,12 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .space import Point, Space, Weights
+
+# Entries of a point-by-cuboid array evaluated at once, which bounds the
+# memory of a batch independently of its size.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -35,40 +47,39 @@ class Cuboid:
     p_max: tuple[float, ...]
 
     def __post_init__(self):
-        domains = frozenset(str(d) for d in self.domains)
+        domains = frozenset(map(str, self.domains))
         object.__setattr__(self, "domains", domains)
-        lo = tuple(float(v) for v in self.p_min)
-        hi = tuple(float(v) for v in self.p_max)
+        lo = tuple(map(float, self.p_min))
+        hi = tuple(map(float, self.p_max))
         object.__setattr__(self, "p_min", lo)
         object.__setattr__(self, "p_max", hi)
-        unknown = domains - set(self.space.domain_names)
-        if unknown:
-            raise ValidationError(f"unknown domains {sorted(unknown)}")
-        if len(lo) != self.space.n or len(hi) != self.space.n:
+        owned = self.space._owned(domains)
+        if len(lo) != len(owned) or len(hi) != len(owned):
             raise ValidationError("support bounds must cover every dimension")
-        own = set(self.dim_names)
-        for d, i in zip(self.space.dim_names, range(self.space.n)):
-            if d in own:
-                if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
+        inf = math.inf
+        for d, own, l, h in zip(self.space.dim_names, owned, lo, hi):
+            if own:
+                if -inf < l <= h < inf:   # finite and ordered
+                    continue
+                if not (math.isfinite(l) and math.isfinite(h)):
                     raise ValidationError(
                         f"bounds for dimension {d!r} must be finite")
-                if lo[i] > hi[i]:
-                    raise ValidationError(
-                        f"lower bound exceeds upper bound on dimension {d!r}")
-            else:
-                if lo[i] != -math.inf or hi[i] != math.inf:
-                    raise ValidationError(
-                        f"dimension {d!r} lies outside the cuboid's domains "
-                        f"and must be unbounded")
+                raise ValidationError(
+                    f"lower bound exceeds upper bound on dimension {d!r}")
+            elif l != -inf or h != inf:
+                raise ValidationError(
+                    f"dimension {d!r} lies outside the cuboid's domains "
+                    f"and must be unbounded")
 
     @classmethod
     def from_bounds(cls, space: Space, domains: Iterable[str],
                     low: Mapping[str, float], high: Mapping[str, float]) -> "Cuboid":
         """Build a cuboid from ``{dimension: bound}`` mappings over its domains."""
         domains = frozenset(domains)
+        owned = space._owned(domains)
+        own = set(compress(space.dim_names, owned))
         lo = [-math.inf] * space.n
         hi = [math.inf] * space.n
-        own = {d for name in domains for d in space.dims_of(name)}
         for mapping, target, side in ((low, lo, "lower"), (high, hi, "upper")):
             for d, v in mapping.items():
                 if d not in own:
@@ -76,8 +87,8 @@ class Cuboid:
                         f"dimension {d!r} is not covered by domains "
                         f"{sorted(domains)}")
                 target[space.index_of(d)] = float(v)
-            missing = [d for d in sorted(own)
-                       if not math.isfinite(target[space.index_of(d)])]
+            missing = sorted(d for d, o, v in zip(space.dim_names, owned, target)
+                             if o and not math.isfinite(v))
             if missing:
                 raise ValidationError(f"missing {side} bound for {missing}")
         return cls(space, domains, tuple(lo), tuple(hi))
@@ -85,8 +96,8 @@ class Cuboid:
     @cached_property
     def dim_names(self) -> tuple[str, ...]:
         """Dimensions on which this cuboid is bounded, in space order."""
-        return tuple(d for name, dims in self.space.domains
-                     if name in self.domains for d in dims)
+        return tuple(compress(self.space.dim_names,
+                              self.space._owned(self.domains)))
 
     @cached_property
     def lo(self) -> np.ndarray:
@@ -128,12 +139,9 @@ class Cuboid:
             raise ValidationError(
                 f"projection target {sorted(target)} is not a subset of the "
                 f"cuboid's domains {sorted(self.domains)}")
-        keep = {self.space.index_of(d)
-                for name in target for d in self.space.dims_of(name)}
-        lo = tuple(self.p_min[i] if i in keep else -math.inf
-                   for i in range(self.space.n))
-        hi = tuple(self.p_max[i] if i in keep else math.inf
-                   for i in range(self.space.n))
+        keep = self.space._owned(target)
+        lo = tuple(v if k else -math.inf for v, k in zip(self.p_min, keep))
+        hi = tuple(v if k else math.inf for v, k in zip(self.p_max, keep))
         return Cuboid(self.space, target, lo, hi)
 
     def clamp(self, coords: np.ndarray) -> np.ndarray:
@@ -158,11 +166,9 @@ def point_cuboid(space: Space, domains: Iterable[str],
                  coords: Sequence[float]) -> Cuboid:
     """Degenerate cuboid holding a single point on the given domains."""
     domains = frozenset(domains)
-    idx = {space.index_of(d) for name in domains for d in space.dims_of(name)}
-    lo = tuple(float(coords[i]) if i in idx else -math.inf
-               for i in range(space.n))
-    hi = tuple(float(coords[i]) if i in idx else math.inf
-               for i in range(space.n))
+    owned = space._owned(domains)
+    lo = tuple(v if o else -math.inf for v, o in zip(coords, owned))
+    hi = tuple(v if o else math.inf for v, o in zip(coords, owned))
     return Cuboid(space, domains, lo, hi)
 
 
@@ -170,12 +176,15 @@ def central_region(cuboids: Sequence[Cuboid]) -> Cuboid | None:
     """Common intersection of the cuboids; ``None`` when empty."""
     if not cuboids:
         raise ValidationError("need at least one cuboid")
-    acc: Cuboid | None = cuboids[0]
-    for c in cuboids[1:]:
-        if acc is None:
-            return None
-        acc = acc.intersect(c)
-    return acc
+    space = cuboids[0].space
+    if any(c.space != space for c in cuboids[1:]):
+        raise ValidationError("cuboids belong to different spaces")
+    lo = np.array([c.p_min for c in cuboids]).max(axis=0)
+    hi = np.array([c.p_max for c in cuboids]).min(axis=0)
+    if np.any(lo > hi):
+        return None
+    return Cuboid(space, frozenset().union(*(c.domains for c in cuboids)),
+                  lo.tolist(), hi.tolist())
 
 
 def nearest_points(a: Cuboid, b: Cuboid) -> tuple[np.ndarray, np.ndarray]:
@@ -224,12 +233,24 @@ def repair(cuboids: Sequence[Cuboid]) -> tuple[Cuboid, ...]:
     bounded = counts > 0
     new_lo = np.where(bounded, np.minimum(lows, meet), lows)
     new_hi = np.where(bounded, np.maximum(highs, meet), highs)
-    return tuple(Cuboid(space, c.domains, tuple(l), tuple(h))
-                 for c, l, h in zip(cubs, new_lo, new_hi))
+    return tuple(Cuboid(space, c.domains, l, h)
+                 for c, l, h in zip(cubs, new_lo.tolist(), new_hi.tolist()))
 
 
-def _dedupe(cuboids: Iterable[Cuboid]) -> tuple[Cuboid, ...]:
-    return tuple(dict.fromkeys(cuboids))
+def _core_of_rows(space: Space, domains: Sequence[frozenset[str]],
+                  lo: np.ndarray, hi: np.ndarray) -> "Core":
+    """Core of stacked bound rows, one cuboid per distinct row.
+
+    Duplicate rows (same domains and bounds) are dropped, keeping the first;
+    :func:`repair` runs when the rows' central region is empty.  Cuboids are
+    built only for the rows kept.
+    """
+    rows = dict.fromkeys(zip(domains, map(tuple, lo.tolist()),
+                             map(tuple, hi.tolist())))
+    cubs = tuple(Cuboid(space, d, l, h) for d, l, h in rows)
+    if np.any(lo.max(axis=0) > hi.min(axis=0)):
+        cubs = repair(cubs)
+    return Core(cubs)
 
 
 @dataclass(frozen=True)
@@ -289,11 +310,17 @@ class Core:
         return any(c.contains(x) for c in self.cuboids)
 
     def contains_batch(self, coords: np.ndarray) -> np.ndarray:
+        """Whether each coordinate row lies in at least one member cuboid."""
         coords = np.asarray(coords, dtype=float)
-        out = self.cuboids[0].contains_batch(coords)
-        for c in self.cuboids[1:]:
-            out |= c.contains_batch(coords)
-        return out
+        flat = coords.reshape(-1, coords.shape[-1])
+        lo, hi = self.lo, self.hi
+        rows = max(1, _BLOCK_ENTRIES // lo.size)
+        out = np.empty(len(flat), dtype=bool)
+        for start in range(0, len(flat), rows):
+            block = flat[start:start + rows, None, :]
+            inside = np.all((block >= lo) & (block <= hi), axis=-1)
+            out[start:start + rows] = inside.any(axis=1)
+        return out.reshape(coords.shape[:-1])
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension hull of all member cuboids (may be infinite)."""
@@ -302,37 +329,51 @@ class Core:
     def intersect(self, other: "Core") -> "Core":
         """Pairwise cuboid intersection with repair.
 
-        All non-empty pairwise intersections are kept.  When every pair is
+        All non-empty pairwise intersections are kept, in row-major order of
+        the pairs.  They come from one broadcast over the stacked bounds, and
+        cuboids are built only for the non-empty ones.  When every pair is
         empty, the two mutually nearest points of the cores (under uniform
         weights) seed the result as degenerate point cuboids.  Repair runs
         whenever the survivors' central region is empty.
         """
         if self.space != other.space:
             raise ValidationError("cores belong to different spaces")
-        survivors = [got
-                     for a in self.cuboids for b in other.cuboids
-                     if (got := a.intersect(b)) is not None]
-        if not survivors:
-            pa, pb = _nearest_between(self, other)
-            dom = self.domain_set | other.domain_set
-            survivors = [point_cuboid(self.space, dom, pa),
-                         point_cuboid(self.space, dom, pb)]
-        cubs = _dedupe(survivors)
-        if central_region(cubs) is None:
-            cubs = repair(cubs)
-        return Core(cubs)
+        n = self.space.n
+        lo = np.maximum(self.lo[:, None], other.lo).reshape(-1, n)
+        hi = np.minimum(self.hi[:, None], other.hi).reshape(-1, n)
+        keep = np.flatnonzero(np.all(lo <= hi, axis=1))
+        if keep.size:
+            ia, ib = np.divmod(keep, len(other.cuboids))
+            domains = [self.cuboids[i].domains | other.cuboids[j].domains
+                       for i, j in zip(ia.tolist(), ib.tolist())]
+            return _core_of_rows(self.space, domains, lo[keep], hi[keep])
+        pa, pb = _nearest_between(self, other)
+        dom = self.domain_set | other.domain_set
+        owned = np.array(self.space._owned(dom))
+        points = np.stack([pa, pb])
+        return _core_of_rows(self.space, [dom, dom],
+                             np.where(owned, points, -np.inf),
+                             np.where(owned, points, np.inf))
 
     def union(self, other: "Core") -> "Core":
-        """Concatenate cuboids, repairing when the central regions miss."""
+        """Concatenate cuboids, repairing when the central regions miss.
+
+        Works on the two cores' stacked bounds; duplicates are dropped and
+        cuboids built only for the rows kept.
+        """
         if self.space != other.space:
             raise ValidationError("cores belong to different spaces")
-        cubs = _dedupe(self.cuboids + other.cuboids)
-        if central_region(cubs) is None:
-            cubs = repair(cubs)
-        return Core(cubs)
+        domains = [c.domains for c in self.cuboids + other.cuboids]
+        return _core_of_rows(self.space, domains,
+                             np.vstack([self.lo, other.lo]),
+                             np.vstack([self.hi, other.hi]))
 
     def project(self, domains: Iterable[str]) -> "Core":
-        """Project every cuboid onto a non-empty subset of the domain set."""
+        """Project every cuboid onto a non-empty subset of the domain set.
+
+        Bounds outside the target domains are reset on the stacked arrays;
+        duplicates are dropped and cuboids built only for the rows kept.
+        """
         target = frozenset(domains)
         if not target:
             raise ValidationError("projection target must be non-empty")
@@ -340,8 +381,11 @@ class Core:
             raise ValidationError(
                 f"projection target {sorted(target)} is not a subset of the "
                 f"core's domains {sorted(self.domain_set)}")
-        projected = tuple(c.project(target & c.domains) for c in self.cuboids)
-        return Core(_dedupe(projected))
+        owned = np.array(self.space._owned(target))
+        return _core_of_rows(self.space,
+                             [target & c.domains for c in self.cuboids],
+                             np.where(owned, self.lo, -np.inf),
+                             np.where(owned, self.hi, np.inf))
 
 
 def cores_intersect(a: Core, b: Core) -> bool:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import LatticeSizeError, ValidationError
-from .geometry import Core, Cuboid, nearest_point_pairs
+from .geometry import _BLOCK_ENTRIES, Core, Cuboid, nearest_point_pairs
 from .space import Point, Weights
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,11 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_CELL_CAP = 20_000_000
-
-
-# Entries of the point-by-cuboid gap array evaluated at once, which bounds
-# the memory of a batch independently of its size.
-_BLOCK_ENTRIES = 1 << 14
 
 
 def distance_to_cuboid(x: Point, cuboid: Cuboid, weights: Weights) -> float:

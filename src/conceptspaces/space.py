@@ -94,6 +94,28 @@ class Space:
         return {d: name for name, dims in self.domains for d in dims}
 
     @cached_property
+    def _owned_cache(self) -> dict[frozenset[str], tuple[bool, ...]]:
+        return {}
+
+    def _owned(self, domains: frozenset[str]) -> tuple[bool, ...]:
+        """Per dimension, whether one of ``domains`` owns it.
+
+        Cached per domain set, outside the compared fields, so a space with
+        a warm cache stays equal and hash-equal to a fresh one.  Raises for
+        domains the space does not have.
+        """
+        cache = self._owned_cache
+        mask = cache.get(domains)
+        if mask is None:
+            unknown = domains.difference(self._domain_dims)
+            if unknown:
+                raise ValidationError(f"unknown domains {sorted(unknown)}")
+            mask = tuple(name in domains
+                         for name, dims in self.domains for _ in dims)
+            cache[domains] = mask
+        return mask
+
+    @cached_property
     def _layout(self) -> tuple[np.ndarray, np.ndarray]:
         """First dimension of every domain, and the domain of every dimension."""
         sizes = [len(dims) for _, dims in self.domains]

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptspaces import (Core, Cuboid, ValidationError, Weights, between,
-                           central_region, cores_intersect, nearest_points,
-                           point_cuboid, repair)
+from conceptspaces import (Core, Cuboid, Space, ValidationError, Weights,
+                           between, central_region, cores_intersect,
+                           nearest_points, point_cuboid, repair)
 from conceptspaces.geometry import _nearest_between
 
-from conftest import LINE, PLANE, box_core, between_points
+from conftest import (LINE, PLANE, between_points, box_core, random_concept,
+                      translated)
 
 MIXED = __import__("conceptspaces").Space(
     (("color", ("hue", "sat")), ("size", ("diam",))))
@@ -363,3 +364,234 @@ class TestStarShapedness:
             y = MIXED.point(dict(zip(MIXED.dim_names, y_arr)))
             assert between(x, y, z, w)
             assert c.contains(y)
+
+
+# ---------------------------------------------------------------------------
+# The core algebra against an independent fold.  The oracle intersects cuboid
+# pairs one at a time, drops duplicates with ``dict.fromkeys`` and repairs
+# with the mean-of-centres formula written out here; the library works on the
+# stacked bound arrays.  Results must agree bit for bit, in the same order.
+
+def _fold_owned(space, domains):
+    own = {space.index_of(d) for name in domains for d in space.dims_of(name)}
+    return [i in own for i in range(space.n)]
+
+
+def _fold_point(space, domains, coords):
+    own = _fold_owned(space, domains)
+    return Cuboid(space, domains,
+                  tuple(float(v) if o else -math.inf for v, o in zip(coords, own)),
+                  tuple(float(v) if o else math.inf for v, o in zip(coords, own)))
+
+
+def _fold_central(cubs):
+    acc = cubs[0]
+    for c in cubs[1:]:
+        if acc is None:
+            return None
+        acc = acc.intersect(c)
+    return acc
+
+
+def _fold_repair(cubs):
+    lows = np.array([c.p_min for c in cubs])
+    highs = np.array([c.p_max for c in cubs])
+    finite = np.isfinite(lows)
+    counts = finite.sum(axis=0)
+    centers = 0.5 * (np.where(finite, lows, 0.0) + np.where(finite, highs, 0.0))
+    meet = np.divide(centers.sum(axis=0), counts,
+                     out=np.zeros(lows.shape[1]), where=counts > 0)
+    new_lo = np.where(counts > 0, np.minimum(lows, meet), lows)
+    new_hi = np.where(counts > 0, np.maximum(highs, meet), highs)
+    return tuple(Cuboid(c.space, c.domains, tuple(l), tuple(h))
+                 for c, l, h in zip(cubs, new_lo, new_hi))
+
+
+def _fold_finish(cubs, tally):
+    cubs = tuple(dict.fromkeys(cubs))
+    if _fold_central(cubs) is None:
+        tally["repair"] += 1
+        cubs = _fold_repair(cubs)
+    return cubs
+
+
+def _fold_intersect(a, b, tally):
+    survivors = [got for x in a.cuboids for y in b.cuboids
+                 if (got := x.intersect(y)) is not None]
+    if not survivors:
+        tally["disjoint"] += 1
+        pa, pb = _nearest_between(a, b)
+        dom = a.domain_set | b.domain_set
+        survivors = [_fold_point(a.space, dom, pa), _fold_point(a.space, dom, pb)]
+    return _fold_finish(survivors, tally)
+
+
+def _fold_union(a, b, tally):
+    return _fold_finish(a.cuboids + b.cuboids, tally)
+
+
+def _fold_project(core, target, tally):
+    out = []
+    for c in core.cuboids:
+        dom = target & c.domains
+        keep = _fold_owned(core.space, dom)
+        out.append(Cuboid(core.space, dom,
+                          tuple(v if k else -math.inf for v, k in zip(c.p_min, keep)),
+                          tuple(v if k else math.inf for v, k in zip(c.p_max, keep))))
+    return _fold_finish(out, tally)
+
+
+def _bits(cubs):
+    return [(sorted(c.domains), [v.hex() for v in c.p_min],
+             [v.hex() for v in c.p_max]) for c in cubs]
+
+
+def _partner(rng, core):
+    """A random core in the same space: fresh, shifted, projected or shared."""
+    space = core.space
+    kind = rng.integers(5)
+    if kind == 0:   # some of the same cuboids: unions and intersections repeat
+        return Core(core.cuboids[int(rng.integers(len(core.cuboids))):])
+    concept = random_concept(rng, space, max_cuboids=4)
+    if kind == 1:   # far away: disjoint intersections, repaired unions
+        concept = translated(concept, rng.choice([-1.0, 1.0], size=space.n)
+                             * rng.uniform(4.0, 8.0, size=space.n))
+    if kind == 2:   # on a proper subset of the domains
+        names = list(space.domain_names)
+        keep = [d for d in names if rng.random() < 0.5] or names[:1]
+        return concept.core.project(keep)
+    return concept.core
+
+
+def test_core_algebra_matches_independent_fold():
+    rng = np.random.default_rng(31)
+    tally = {"repair": 0, "disjoint": 0, "duplicates": 0, "steps": 0}
+    for _ in range(40):
+        core = random_concept(rng, max_cuboids=4, min_domains=2).core
+        for _ in range(5):
+            op = rng.integers(3)
+            if op == 2 and len(core.domain_set) > 1:
+                names = sorted(core.domain_set)
+                target = frozenset(names[:int(rng.integers(1, len(names)))])
+                got, expect = core.project(target), _fold_project(core, target, tally)
+                raw = len(core.cuboids)
+            else:
+                other = core if rng.random() < 0.1 else _partner(rng, core)
+                if op == 0:
+                    got, expect = core.intersect(other), _fold_intersect(core, other, tally)
+                    raw = len(core.cuboids) * len(other.cuboids)
+                else:
+                    got, expect = core.union(other), _fold_union(core, other, tally)
+                    raw = len(core.cuboids) + len(other.cuboids)
+            assert got.cuboids == expect
+            assert _bits(got.cuboids) == _bits(expect)
+            tally["duplicates"] += len(expect) < raw
+            tally["steps"] += 1
+            core = got
+    # every branch of the shared tail ran
+    assert tally["repair"] >= 10 and tally["disjoint"] >= 5
+    assert tally["duplicates"] >= 5 and tally["steps"] == 200
+
+
+def test_central_region_and_repair_match_independent_fold():
+    rng = np.random.default_rng(32)
+    empty = 0
+    for _ in range(150):
+        cubs = list(random_concept(rng, max_cuboids=4, min_domains=2).core.cuboids)
+        space = cubs[0].space
+        other = _partner(rng, Core(tuple(cubs)))
+        cubs += other.cuboids
+        rng.shuffle(cubs)
+        want = _fold_central(cubs)
+        got = central_region(cubs)
+        if want is None:
+            empty += 1
+            assert got is None
+        else:
+            assert got == want and _bits([got]) == _bits([want])
+        assert _bits(repair(cubs)) == _bits(_fold_repair(cubs))
+        assert all(c.space == space for c in repair(cubs))
+    assert 20 <= empty <= 130
+
+
+def test_core_contains_batch_matches_member_cuboids():
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        core = random_concept(rng, max_cuboids=5, min_domains=2).core
+        if rng.random() < 0.5:
+            core = core.union(_partner(rng, core))
+        lo, hi = core.bounding_box()
+        lo = np.where(np.isfinite(lo), lo, -3.0) - 0.5
+        hi = np.where(np.isfinite(hi), hi, 3.0) + 0.5
+        pts = rng.uniform(lo, hi, size=(3000, core.space.n))
+        # points exactly on member faces
+        faces = rng.integers(len(core.cuboids), size=300)
+        dims = rng.integers(core.space.n, size=300)
+        side = np.where(rng.random(300) < 0.5, core.lo[faces, dims],
+                        core.hi[faces, dims])
+        rows = np.arange(300)
+        pts[rows, dims] = np.where(np.isfinite(side), side, pts[rows, dims])
+        want = np.zeros(len(pts), dtype=bool)
+        for c in core.cuboids:
+            want |= c.contains_batch(pts)
+        got = core.contains_batch(pts)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert 0 < want.sum() < len(pts)
+
+
+# ---------------------------------------------------------------------------
+# Cuboid validation: every fault keeps its message, with a cold and a warm
+# per-space ownership cache.
+
+_INF = math.inf
+_FAULTS = [
+    (["bogus"], (0, 0, 0), (1, 1, 1), "unknown domains ['bogus']"),
+    (["color", "bogus"], (0, 0), (1, 1), "unknown domains ['bogus']"),
+    (["color"], (0, 0), (1, 1, _INF), "support bounds must cover every dimension"),
+    (["color"], (0, 0, -_INF, 0), (1, 1, _INF, 1),
+     "support bounds must cover every dimension"),
+    (["color"], (0, -_INF, -_INF), (1, 1, _INF),
+     "bounds for dimension 'sat' must be finite"),
+    (["color", "size"], (0, 0, 0), (1, 1, math.nan),
+     "bounds for dimension 'diam' must be finite"),
+    (["color"], (0, 2, -_INF), (1, 1, _INF),
+     "lower bound exceeds upper bound on dimension 'sat'"),
+    (["color"], (2, 0, -_INF), (1, math.nan, _INF),
+     "lower bound exceeds upper bound on dimension 'hue'"),
+    (["size"], (0, -_INF, 0), (1, _INF, 1),
+     "dimension 'hue' lies outside the cuboid's domains and must be unbounded"),
+    (["color"], (0, 0, -_INF), (1, 1, 5.0),
+     "dimension 'diam' lies outside the cuboid's domains and must be unbounded"),
+    (["size"], (-_INF, 0, 2), (_INF, 0, 1),
+     "dimension 'sat' lies outside the cuboid's domains and must be unbounded"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("domains, lo, hi, message", _FAULTS)
+def test_cuboid_validation_messages(domains, lo, hi, message, warm):
+    space = Space(MIXED.domains)
+    if warm:
+        for dom in (["color"], ["size"], ["color", "size"]):
+            Cuboid.from_bounds(space, dom, {d: 0.0 for name in dom
+                                            for d in space.dims_of(name)},
+                               {d: 1.0 for name in dom
+                                for d in space.dims_of(name)})
+    with pytest.raises(ValidationError) as err:
+        Cuboid(space, frozenset(domains), lo, hi)
+    assert str(err.value) == message
+
+
+def test_warm_space_cache_keeps_equality():
+    warm, fresh = Space(MIXED.domains), Space(MIXED.domains)
+    c = Cuboid.from_bounds(warm, ["color"], {"hue": 0.0, "sat": 0.0},
+                           {"hue": 1.0, "sat": 1.0})
+    assert c.dim_names == ("hue", "sat")
+    assert c.project(["color"]) == c
+    assert point_cuboid(warm, ["size"], (5.0, 5.0, 2.0)).p_min == (
+        -math.inf, -math.inf, 2.0)
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert c == Cuboid(fresh, {"color"}, (0.0, 0.0, -math.inf),
+                       (1.0, 1.0, math.inf))
+    assert hash(c) == hash(Cuboid(fresh, {"color"}, (0.0, 0.0, -math.inf),
+                                  (1.0, 1.0, math.inf)))
