@@ -113,13 +113,24 @@ class Concept:
 
     def union(self, other: "Concept",
               params: CombinationParams | None = None) -> "Concept":
-        """Fuzzy union: combined cores (with repair), the larger peak."""
+        """Fuzzy union: combined cores (with repair), the larger peak.
+
+        The decay is ``min_i c_i / κ_i`` rather than the paper's
+        ``min(c1, c2)``.  ``κ_i`` is the smallest constant with
+        ``‖g‖ ≤ κ_i ‖g‖_i`` for every gap ``g`` on operand ``i``'s domains,
+        where ``‖·‖`` measures with the blended weights; see
+        :func:`_norm_ratio`.  Each operand's core lies inside the union's,
+        so the union's membership is at least each operand's everywhere.
+        With shared weights ``κ_i = 1`` up to the rounding of the blend, so
+        the decay is ``min(c1, c2)`` within a few ulp.
+        """
         params = params or CombinationParams()
         core = self.core.union(other.core)
         weights = _combine_weights(self.weights, other.weights,
                                    core.domain_set, params)
-        return Concept(core, max(self.peak, other.peak),
-                       min(self.decay, other.decay), weights)
+        decay = min(self.decay / _norm_ratio(weights, self.weights),
+                    other.decay / _norm_ratio(weights, other.weights))
+        return Concept(core, max(self.peak, other.peak), decay, weights)
 
     def project(self, domains: Iterable[str]) -> "Concept":
         """Projection onto a subset of domains.
@@ -180,6 +191,22 @@ def _combine_weights(w1: Weights, w2: Weights, domains: Iterable[str],
     scale = len(dw) / total
     dw = {name: v * scale for name, v in dw.items()}
     return Weights(dw, dimw)
+
+
+def _norm_ratio(blend: Weights, own: Weights) -> float:
+    """Smallest ``κ`` with ``‖g‖_blend ≤ κ ‖g‖_own`` on ``own``'s domains.
+
+    Per domain ``δ`` the blended norm is at most
+    ``(w'_δ / w_δ) · max_{j∈δ} sqrt(w'_j / w_j)`` times the own norm, with
+    equality along the axis of the largest dimension ratio; ``κ`` is the
+    largest of these factors.
+    """
+    kappa = 0.0
+    for name, w in own.domain_weights.items():
+        dims = blend.dimension_weights[name]
+        ratio = max(dims[d] / v for d, v in own.dimension_weights[name].items())
+        kappa = max(kappa, blend.domain_weights[name] / w * math.sqrt(ratio))
+    return kappa
 
 
 def _project_weights(weights: Weights, domains: frozenset[str]) -> Weights:

@@ -10,9 +10,13 @@ cuboid to a shared meet point.
 A core keeps its members' bounds stacked as ``(k, n)`` arrays.  Intersection,
 union and projection work on those arrays (all cuboid pairs in one
 broadcast), drop duplicate rows, test and repair the central region, and
-build validated cuboids only for the rows that survive.  Which dimensions a
-domain set owns is cached per space, so each cuboid's validation is a single
-pass over its bounds.
+build validated cuboids only for the rows that survive.  Their results are
+canonical: no kept cuboid lies inside another of the same domain set.  Such a
+cuboid never sets the distance to the union, which is the minimum over the
+members, so memberships are unchanged; it would only cost work in every
+later operation.  Cores built directly from cuboids keep them as given.
+Which dimensions a domain set owns is cached per space, so each cuboid's
+validation is a single pass over its bounds.
 """
 
 from __future__ import annotations
@@ -239,18 +243,59 @@ def repair(cuboids: Sequence[Cuboid]) -> tuple[Cuboid, ...]:
 
 def _core_of_rows(space: Space, domains: Sequence[frozenset[str]],
                   lo: np.ndarray, hi: np.ndarray) -> "Core":
-    """Core of stacked bound rows, one cuboid per distinct row.
+    """Canonical core of stacked bound rows.
 
     Duplicate rows (same domains and bounds) are dropped, keeping the first;
-    :func:`repair` runs when the rows' central region is empty.  Cuboids are
-    built only for the rows kept.
+    :func:`repair` runs when the rows' central region is empty, and its
+    output is deduplicated again.  Then every row that lies inside another
+    row of the same domain set is dropped, so no kept cuboid lies inside
+    another.  The distance to a union of cuboids is the minimum over its
+    members, so the dropped rows never set it: the result covers the same
+    points, and its central region can only grow.  Cuboids are built only
+    for the rows kept.
     """
-    rows = dict.fromkeys(zip(domains, map(tuple, lo.tolist()),
-                             map(tuple, hi.tolist())))
-    cubs = tuple(Cuboid(space, d, l, h) for d, l, h in rows)
+    rows = dict(zip(zip(domains, map(tuple, lo.tolist()), map(tuple, hi.tolist())),
+                    range(len(domains))))
     if np.any(lo.max(axis=0) > hi.min(axis=0)):
-        cubs = repair(cubs)
-    return Core(cubs)
+        # repair can stretch distinct rows into equal ones
+        cubs = list({(c.domains, c.p_min, c.p_max): c
+                     for c in repair([Cuboid(space, *row) for row in rows])}
+                    .values())
+        keep = _maximal_rows([c.domains for c in cubs],
+                             np.array([c.p_min for c in cubs]),
+                             np.array([c.p_max for c in cubs]))
+        return Core(tuple(compress(cubs, keep)))
+    if len(rows) < len(domains):
+        index = list(rows.values())
+        lo, hi = lo[index], hi[index]
+    keep = _maximal_rows([d for d, _, _ in rows], lo, hi)
+    return Core(tuple(Cuboid(space, *row) for row in compress(rows, keep)))
+
+
+def _maximal_rows(domains: Sequence[frozenset[str]], lo: np.ndarray,
+                  hi: np.ndarray) -> list[bool]:
+    """Which of the distinct rows lie inside no other row of their domain set.
+
+    Row ``i`` lies inside row ``j`` exactly when ``[-lo, hi]`` of ``i`` is
+    at most that of ``j`` everywhere; the pairs are compared in blocks of
+    rows.  A row inside another can only own more domains than its
+    container, so comparing rows of equal domain sets alone never shrinks
+    the core's domain set.
+    """
+    k = len(domains)
+    if k == 1:
+        return [True]
+    b = np.concatenate([-lo, hi], axis=1)
+    inside = np.empty((k, k), dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // b.size)
+    for start in range(0, k, step):
+        inside[start:start + step] = (b[start:start + step, None] <= b).all(-1)
+    codes = {d: i for i, d in enumerate(dict.fromkeys(domains))}
+    if len(codes) > 1:
+        code = np.array([codes[d] for d in domains])
+        inside &= code[:, None] == code
+    # every row lies inside itself; a maximal row inside no other
+    return (inside.sum(axis=1) == 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -329,12 +374,14 @@ class Core:
     def intersect(self, other: "Core") -> "Core":
         """Pairwise cuboid intersection with repair.
 
-        All non-empty pairwise intersections are kept, in row-major order of
-        the pairs.  They come from one broadcast over the stacked bounds, and
-        cuboids are built only for the non-empty ones.  When every pair is
-        empty, the two mutually nearest points of the cores (under uniform
-        weights) seed the result as degenerate point cuboids.  Repair runs
-        whenever the survivors' central region is empty.
+        The non-empty pairwise intersections, in row-major order of the
+        pairs, come from one broadcast over the stacked bounds.  When every
+        pair is empty, the two mutually nearest points of the cores (under
+        uniform weights) seed the result as degenerate point cuboids.  Repair
+        runs whenever the survivors' central region is empty.  The result is
+        canonical: survivors inside another survivor of the same domain set
+        are dropped, which leaves the covered points and so every membership
+        unchanged.
         """
         if self.space != other.space:
             raise ValidationError("cores belong to different spaces")
@@ -358,8 +405,9 @@ class Core:
     def union(self, other: "Core") -> "Core":
         """Concatenate cuboids, repairing when the central regions miss.
 
-        Works on the two cores' stacked bounds; duplicates are dropped and
-        cuboids built only for the rows kept.
+        Works on the two cores' stacked bounds.  The result is canonical:
+        duplicates and cuboids inside another of the same domain set are
+        dropped, which leaves the covered points unchanged.
         """
         if self.space != other.space:
             raise ValidationError("cores belong to different spaces")
@@ -371,8 +419,10 @@ class Core:
     def project(self, domains: Iterable[str]) -> "Core":
         """Project every cuboid onto a non-empty subset of the domain set.
 
-        Bounds outside the target domains are reset on the stacked arrays;
-        duplicates are dropped and cuboids built only for the rows kept.
+        Bounds outside the target domains are reset on the stacked arrays.
+        The result is canonical: duplicates and projected cuboids inside
+        another of the same domain set are dropped, which leaves the covered
+        points unchanged.
         """
         target = frozenset(domains)
         if not target:

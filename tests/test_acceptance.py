@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conceptspaces import (Concept, Core, Cuboid, KnowledgeBase, Point, Space,
-                           Weights, combined_distance, distance_to_cuboid,
+from conceptspaces import (CombinationParams, Concept, Core, Cuboid,
+                           KnowledgeBase, Point, Space, Weights,
+                           combined_distance, distance_to_cuboid,
                            grid_oracle_max_min, height_of_intersection)
 from conceptspaces.cli import export_grid
 
@@ -108,6 +109,25 @@ def test_fuzzy_star_shapedness_of_random_concepts():
 # ---------------------------------------------------------------------------
 # 3. union dominates the fuzzy max-union
 
+def _union_excess(rng, first, second, params=None):
+    union = first.union(second, params)
+    lo1, hi1 = sample_window(first)
+    lo2, hi2 = sample_window(second)
+    pool = uniform_points(rng, np.minimum(lo1, lo2), np.maximum(hi1, hi2),
+                          10_000)
+    # points along single axes from the cores, where the weights differ most
+    axis = rng.integers(len(lo1), size=2000)
+    step = np.zeros((2000, len(lo1)))
+    step[np.arange(2000), axis] = rng.uniform(-4.0, 4.0, size=2000)
+    centre = np.where(rng.random((2000, 1)) < 0.5,
+                      first.core.central_point.array,
+                      second.core.central_point.array)
+    pool = np.vstack([pool, centre + step])
+    fuzzy_max = np.maximum(first.membership_batch(pool),
+                           second.membership_batch(pool))
+    return float((fuzzy_max - union.membership_batch(pool)).max())
+
+
 def test_union_contains_pointwise_max():
     rng = np.random.default_rng(103)
     with Timer(60.0) as timer:
@@ -118,17 +138,21 @@ def test_union_contains_pointwise_max():
             second_core = random_concept(rng, space).core
             second = Concept(second_core, float(rng.uniform(0.5, 1.0)),
                              float(rng.uniform(0.4, 2.5)), weights)
-            union = first.union(second)
-            lo1, hi1 = sample_window(first)
-            lo2, hi2 = sample_window(second)
-            pool = uniform_points(rng, np.minimum(lo1, lo2),
-                                  np.maximum(hi1, hi2), 10_000)
-            fuzzy_max = np.maximum(first.membership_batch(pool),
-                                   second.membership_batch(pool))
-            excess = fuzzy_max - union.membership_batch(pool)
-            assert float(excess.max()) <= 1e-9
+            assert _union_excess(rng, first, second) <= 1e-9
+        # differing weights, 2-3 domains, operands over different domain sets
+        for k in range(60):
+            first = random_concept(rng, min_domains=2)
+            second = random_concept(rng, first.space)
+            names = sorted(first.space.domain_names)
+            if k % 3 == 1:
+                second = second.project(names[:int(rng.integers(1, len(names)))])
+            elif k % 3 == 2:
+                first = first.project(names[int(rng.integers(1, len(names))):])
+            params = CombinationParams(float(rng.uniform()),
+                                       float(rng.uniform()))
+            assert _union_excess(rng, first, second, params) <= 1e-9
     report("union: pointwise max of memberships never exceeds the fuzzy "
-           "union by more than 1e-9", timer)
+           "union by more than 1e-9, with shared or differing weights", timer)
 
 
 # ---------------------------------------------------------------------------

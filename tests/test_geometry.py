@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptspaces import (Core, Cuboid, Space, ValidationError, Weights,
-                           between, central_region, cores_intersect,
+from conceptspaces import (Concept, Core, Cuboid, Space, ValidationError,
+                           Weights, between, central_region, cores_intersect,
                            nearest_points, point_cuboid, repair)
-from conceptspaces.geometry import _nearest_between
+from conceptspaces import geometry
+from conceptspaces.geometry import _BLOCK_ENTRIES, _maximal_rows, _nearest_between
+from conceptspaces.optimize import core_distance_batch
 
 from conftest import (LINE, PLANE, between_points, box_core, random_concept,
-                      translated)
+                      random_weights, sample_window, translated,
+                      uniform_points)
 
 MIXED = __import__("conceptspaces").Space(
     (("color", ("hue", "sat")), ("size", ("diam",))))
@@ -294,10 +297,18 @@ class TestCore:
 
     def test_project_cross_to_one_axis(self, fig_cross):
         got = fig_cross.core.project(["width"])
-        spans = sorted((c.p_min[0], c.p_max[0]) for c in got.cuboids)
-        assert spans == [(0.0, 4.0), (1.0, 3.0), (1.5, 2.5)]
-        for c in got.cuboids:
-            assert c.p_min[1] == -math.inf and c.p_max[1] == math.inf
+        # the other two projected spans lie inside [0, 4] and are dropped
+        spans = [(c.p_min[0], c.p_max[0]) for c in got.cuboids]
+        assert spans == [(0.0, 4.0)]
+        assert got.cuboids[0].p_min[1] == -math.inf
+        assert got.cuboids[0].p_max[1] == math.inf
+        full = Concept(Core(tuple(c.project(["width"])
+                                  for c in fig_cross.core.cuboids)),
+                       fig_cross.peak, fig_cross.decay,
+                       Weights.uniform(PLANE, ["width"]))
+        pts = np.random.default_rng(11).uniform(-2, 6, size=(500, 2))
+        assert np.array_equal(fig_cross.project(["width"]).membership_batch(pts),
+                              full.membership_batch(pts))
 
     def test_projected_central_region_contains_projection(self, fig_cross):
         core = fig_cross.core
@@ -368,9 +379,10 @@ class TestStarShapedness:
 
 # ---------------------------------------------------------------------------
 # The core algebra against an independent fold.  The oracle intersects cuboid
-# pairs one at a time, drops duplicates with ``dict.fromkeys`` and repairs
-# with the mean-of-centres formula written out here; the library works on the
-# stacked bound arrays.  Results must agree bit for bit, in the same order.
+# pairs one at a time, drops duplicates with ``dict.fromkeys``, repairs with
+# the mean-of-centres formula written out here and prunes contained cuboids
+# in a double loop; the library works on the stacked bound arrays.  Results
+# must agree bit for bit, in the same order.
 
 def _fold_owned(space, domains):
     own = {space.index_of(d) for name in domains for d in space.dims_of(name)}
@@ -407,12 +419,33 @@ def _fold_repair(cubs):
                  for c, l, h in zip(cubs, new_lo, new_hi))
 
 
+def _fold_prune(cubs, tally):
+    """Drop every cuboid inside another one with the same domains.
+
+    Of equal cuboids the first is kept.
+    """
+    kept = []
+    for i, c in enumerate(cubs):
+        for j, d in enumerate(cubs):
+            if i == j or c.domains != d.domains:
+                continue
+            inside = (all(x >= y for x, y in zip(c.p_min, d.p_min))
+                      and all(x <= y for x, y in zip(c.p_max, d.p_max)))
+            equal = c.p_min == d.p_min and c.p_max == d.p_max
+            if inside and (not equal or j < i):
+                break
+        else:
+            kept.append(c)
+    tally["pruned"] += len(cubs) - len(kept)
+    return tuple(kept)
+
+
 def _fold_finish(cubs, tally):
     cubs = tuple(dict.fromkeys(cubs))
     if _fold_central(cubs) is None:
         tally["repair"] += 1
         cubs = _fold_repair(cubs)
-    return cubs
+    return _fold_prune(cubs, tally)
 
 
 def _fold_intersect(a, b, tally):
@@ -465,7 +498,8 @@ def _partner(rng, core):
 
 def test_core_algebra_matches_independent_fold():
     rng = np.random.default_rng(31)
-    tally = {"repair": 0, "disjoint": 0, "duplicates": 0, "steps": 0}
+    tally = {"repair": 0, "disjoint": 0, "duplicates": 0, "pruned": 0,
+             "steps": 0}
     for _ in range(40):
         core = random_concept(rng, max_cuboids=4, min_domains=2).core
         for _ in range(5):
@@ -491,6 +525,7 @@ def test_core_algebra_matches_independent_fold():
     # every branch of the shared tail ran
     assert tally["repair"] >= 10 and tally["disjoint"] >= 5
     assert tally["duplicates"] >= 5 and tally["steps"] == 200
+    assert tally["pruned"] >= 50
 
 
 def test_central_region_and_repair_match_independent_fold():
@@ -595,3 +630,151 @@ def test_warm_space_cache_keeps_equality():
                        (1.0, 1.0, math.inf))
     assert hash(c) == hash(Cuboid(fresh, {"color"}, (0.0, 0.0, -math.inf),
                                   (1.0, 1.0, math.inf)))
+
+
+# ---------------------------------------------------------------------------
+# Canonical cores: the algebra drops every cuboid that lies inside another
+# member of the same domain set.  The unpruned reference is the same code
+# with the prune switched off.
+
+def _keep_all(domains, lo, hi):
+    return [True] * len(domains)
+
+
+def _step_partner(rng, concept):
+    """A concept to intersect or unite with: fresh, shared or projected."""
+    space = concept.space
+    kind = rng.integers(3)
+    if kind == 0:
+        core = Core(concept.core.cuboids[int(rng.integers(len(concept.core.cuboids))):])
+        return Concept(core, float(rng.uniform(0.5, 1.0)),
+                       float(rng.uniform(0.4, 2.5)),
+                       random_weights(rng, space, sorted(core.domain_set)))
+    other = random_concept(rng, space, max_cuboids=4)
+    if kind == 1 and len(space.domain_names) > 1:
+        names = list(space.domain_names)
+        return other.project([d for d in names if rng.random() < 0.5]
+                             or names[:1])
+    return other
+
+
+def test_pruned_algebra_keeps_memberships(monkeypatch):
+    rng = np.random.default_rng(34)
+    pruned = ops = 0
+    for _ in range(30):
+        x = random_concept(rng, max_cuboids=4, min_domains=2)
+        for _ in range(5):
+            op = rng.integers(3)
+            if op == 2 and len(x.core.domain_set) > 1:
+                names = sorted(x.core.domain_set)
+                target = names[:int(rng.integers(1, len(names)))]
+                step = lambda x=x, target=target: x.project(target)
+            else:
+                partner = _step_partner(rng, x)
+                method = x.intersect if op == 0 else x.union
+                step = lambda method=method, partner=partner: method(partner)
+            got = step()
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_maximal_rows", _keep_all)
+                full = step()
+            assert (got.peak, got.decay, got.weights) == \
+                (full.peak, full.decay, full.weights)
+            assert got.core.domain_set == full.core.domain_set
+            lo, hi = sample_window(full)
+            pts = uniform_points(rng, lo, hi, 400)
+            # the nearest member sets the distance, so only the kernel's
+            # rounding, which depends on the batch shape, may differ
+            np.testing.assert_array_max_ulp(
+                core_distance_batch(pts, got.core, got.weights),
+                core_distance_batch(pts, full.core, full.weights), 1)
+            gap = got.membership_batch(pts) - full.membership_batch(pts)
+            assert np.abs(gap).max() <= np.spacing(got.peak)
+            grown, base = got.core.central_region, full.core.central_region
+            assert np.all(grown.lo <= base.lo) and np.all(grown.hi >= base.hi)
+            assert _fold_prune(got.core.cuboids, {"pruned": 0}) == got.core.cuboids
+            pruned += len(full.core.cuboids) - len(got.core.cuboids)
+            ops += 1
+            x = got
+    assert ops == 150 and pruned >= 40
+
+
+def test_repair_that_makes_rows_equal_keeps_the_first():
+    a = box_core(LINE, [({"x": 0.0}, {"x": 1.0}), ({"x": 0.0}, {"x": 2.0})])
+    b = box_core(LINE, [({"x": 5.0}, {"x": 6.0})])
+    got = a.union(b)
+    # repair stretches both rows of ``a`` to the meet point 7/3
+    meet = (0.5 + 1.0 + 5.5) / 3
+    assert [(c.p_min[0], c.p_max[0]) for c in got.cuboids] == \
+        [(0.0, meet), (meet, 6.0)]
+
+
+def test_prune_never_shrinks_the_domain_set(monkeypatch):
+    # a {color} cuboid contains a {color, size} one; both stay
+    a = Core((Cuboid.from_bounds(MIXED, ["color"], {"hue": 0.0, "sat": 0.0},
+                                 {"hue": 2.0, "sat": 2.0}),))
+    b = Core((Cuboid.from_bounds(MIXED, ["color", "size"],
+                                 {"hue": 0.5, "sat": 0.5, "diam": 0.0},
+                                 {"hue": 1.0, "sat": 1.0, "diam": 1.0}),))
+    for got in (a.union(b), b.union(a)):
+        assert len(got.cuboids) == 2
+        assert got.domain_set == {"color", "size"}
+        Concept(got, 1.0, 1.0, Weights.uniform(MIXED))
+    # random mixed-domain families
+    rng = np.random.default_rng(35)
+    guarded = 0
+    for _ in range(150):
+        core = random_concept(rng, max_cuboids=4, min_domains=2).core
+        names = list(core.domain_set)
+        # each cuboid's projection contains the cuboid itself
+        shadow = core.project([d for d in names if rng.random() < 0.5]
+                              or names[:1])
+        other = _partner(rng, core) if rng.random() < 0.5 else shadow
+        if rng.random() < 0.5:
+            step = lambda core=core, other=other: core.union(other)
+        else:
+            step = lambda core=core, other=other: core.intersect(other)
+        got = step()
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_maximal_rows", _keep_all)
+            full = step()
+        assert got.domain_set == full.domain_set
+        Concept(got, 1.0, 1.0,
+                random_weights(rng, got.space, sorted(got.domain_set)))
+        # kept rows inside a row of fewer domains: the guard held them
+        guarded += sum(
+            c.domains != d.domains and np.all(c.lo >= d.lo) and np.all(c.hi <= d.hi)
+            for c in got.cuboids for d in got.cuboids)
+    assert guarded >= 40
+
+
+def test_prune_in_blocks_matches_one_broadcast():
+    rng = np.random.default_rng(36)
+    space = Space((("a", ("a1", "a2", "a3")), ("b", ("b1",)), ("c", ("c1", "c2"))))
+    choices = [frozenset({"a", "b", "c"}), frozenset({"a", "c"}),
+               frozenset({"a"})]
+    rows = {}
+    while len(rows) < 150:
+        dom = choices[rng.integers(len(choices))]
+        own = np.array(space._owned(dom))
+        # widths from a small set make containment frequent
+        lo = -rng.choice([0.5, 1.0, 2.0], size=space.n)
+        hi = rng.choice([0.5, 1.0, 2.0], size=space.n)
+        lo, hi = np.where(own, lo, -np.inf), np.where(own, hi, np.inf)
+        rows.setdefault((dom, tuple(lo), tuple(hi)), None)
+    domains = [d for d, _, _ in rows]
+    lo = np.array([r[1] for r in rows])
+    hi = np.array([r[2] for r in rows])
+    k = len(domains)
+    assert k * k * 2 * space.n > 4 * _BLOCK_ENTRIES
+    b = np.concatenate([-lo, hi], axis=1)
+    code = np.array([choices.index(d) for d in domains])
+    inside = (b[:, None] <= b).all(-1) & (code[:, None] == code)
+    want = (inside.sum(axis=1) == 1).tolist()
+    assert _maximal_rows(domains, lo, hi) == want
+    assert 0 < sum(want) < k
+    # the same through the algebra: two halves of one family united
+    cubs = tuple(Cuboid(space, *row) for row in rows)
+    got = Core(cubs[:75]).union(Core(cubs[75:]))
+    expect = _fold_union(Core(cubs[:75]), Core(cubs[75:]),
+                         {"repair": 0, "pruned": 0})
+    assert _bits(got.cuboids) == _bits(expect)
