@@ -121,8 +121,8 @@ class Concept:
         where ``‖·‖`` measures with the blended weights; see
         :func:`_norm_ratio`.  Each operand's core lies inside the union's,
         so the union's membership is at least each operand's everywhere.
-        With shared weights ``κ_i = 1`` up to the rounding of the blend, so
-        the decay is ``min(c1, c2)`` within a few ulp.
+        With shared weights over the same domains the weights are kept as
+        they are, so ``κ_i = 1`` and the decay is exactly ``min(c1, c2)``.
         """
         params = params or CombinationParams()
         core = self.core.union(other.core)
@@ -155,19 +155,23 @@ def _intersect_at(a: Concept, b: Concept, alpha: float,
     if cores_intersect(a.core, b.core):
         core = a.core.intersect(b.core)
     else:
-        boxes_a = Core(tuple(
-            optimize.alpha_cut_bbox(c, a.peak, a.decay, a.weights, alpha)
-            for c in a.core.cuboids))
-        boxes_b = Core(tuple(
-            optimize.alpha_cut_bbox(c, b.peak, b.decay, b.weights, alpha)
-            for c in b.core.cuboids))
-        core = boxes_a.intersect(boxes_b)
+        core = optimize._alpha_cut_core(a, alpha).intersect(
+            optimize._alpha_cut_core(b, alpha))
     weights = _combine_weights(a.weights, b.weights, core.domain_set, params)
     return Concept(core, alpha, min(a.decay, b.decay), weights)
 
 
 def _combine_weights(w1: Weights, w2: Weights, domains: Iterable[str],
                      params: CombinationParams) -> Weights:
+    """Blend shared domains' weights, copy one-sided ones, renormalise.
+
+    Operands with equal weights over exactly the result's domains keep them
+    as they are, bit for bit (with their compiled metric): blending equal
+    weights and renormalising could move them by an ulp.
+    """
+    domains = frozenset(domains)
+    if w1 == w2 and w1.domain_set == domains:
+        return w1
     s, t = params.s, params.t
     dw: dict[str, float] = {}
     dimw: dict[str, dict[str, float]] = {}

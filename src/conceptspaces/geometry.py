@@ -7,22 +7,29 @@ star-shaped under the combined metric.  The repair mechanism restores a
 non-empty central region after intersections and unions by extending every
 cuboid to a shared meet point.
 
-A core keeps its members' bounds stacked as ``(k, n)`` arrays.  Intersection,
-union and projection work on those arrays (all cuboid pairs in one
-broadcast), drop duplicate rows, test and repair the central region, and
-build validated cuboids only for the rows that survive.  Their results are
-canonical: no kept cuboid lies inside another of the same domain set.  Such a
-cuboid never sets the distance to the union, which is the minimum over the
+The rows are the state of a core: one domain set per member and the
+members' bounds stacked as read-only ``(k, n)`` arrays.  Intersection, union
+and projection compute their results on those arrays (all cuboid pairs in
+one broadcast), drop duplicate rows, test and repair the central region and
+check the rows they keep in one vectorised pass.  The member ``Cuboid``
+objects are built only when ``Core.cuboids`` is first read.  Results are
+canonical: no kept row lies inside another of the same domain set.  Such a
+row never sets the distance to the union, which is the minimum over the
 members, so memberships are unchanged; it would only cost work in every
 later operation.  Cores built directly from cuboids keep them as given.
-Which dimensions a domain set owns is cached per space, so each cuboid's
-validation is a single pass over its bounds.
+
+Two cores are equal when their rows are: the same space, the same domain
+set per row, in order, and equal bounds (so ``-0.0`` equals ``0.0``), which
+is what comparing their cuboids gives.  Repair, the central region and the
+inner point each have one routine on bound arrays; the functions that take
+cuboids adapt to it.  Which dimensions a domain set owns is cached per
+space, so each cuboid's validation is a single pass over its bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -154,16 +161,25 @@ class Cuboid:
 
     def inner_point(self) -> np.ndarray:
         """A deterministic finite point inside the cuboid."""
-        out = np.zeros(self.space.n)
-        finite_lo = np.isfinite(self.lo)
-        finite_hi = np.isfinite(self.hi)
-        both = finite_lo & finite_hi
-        out[both] = 0.5 * (self.lo[both] + self.hi[both])
-        only_lo = finite_lo & ~finite_hi
-        out[only_lo] = self.lo[only_lo]
-        only_hi = finite_hi & ~finite_lo
-        out[only_hi] = self.hi[only_hi]
-        return out
+        return _inner_point(self.lo, self.hi)
+
+
+def _inner_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A deterministic finite point of the box ``[lo, hi]``.
+
+    The midpoint where both bounds are finite, the finite bound where only
+    one is, and 0 where neither is.
+    """
+    finite_lo = np.isfinite(lo)
+    finite_hi = np.isfinite(hi)
+    out = np.zeros(len(lo))
+    both = finite_lo & finite_hi
+    out[both] = 0.5 * (lo[both] + hi[both])
+    only_lo = finite_lo & ~finite_hi
+    out[only_lo] = lo[only_lo]
+    only_hi = finite_hi & ~finite_lo
+    out[only_hi] = hi[only_hi]
+    return out
 
 
 def point_cuboid(space: Space, domains: Iterable[str],
@@ -176,6 +192,12 @@ def point_cuboid(space: Space, domains: Iterable[str],
     return Cuboid(space, domains, lo, hi)
 
 
+def _stack(cuboids: Sequence[Cuboid]) -> tuple[np.ndarray, np.ndarray]:
+    """The cuboids' lower and upper bounds, one row each."""
+    return (np.array([c.p_min for c in cuboids]),
+            np.array([c.p_max for c in cuboids]))
+
+
 def central_region(cuboids: Sequence[Cuboid]) -> Cuboid | None:
     """Common intersection of the cuboids; ``None`` when empty."""
     if not cuboids:
@@ -183,12 +205,20 @@ def central_region(cuboids: Sequence[Cuboid]) -> Cuboid | None:
     space = cuboids[0].space
     if any(c.space != space for c in cuboids[1:]):
         raise ValidationError("cuboids belong to different spaces")
-    lo = np.array([c.p_min for c in cuboids]).max(axis=0)
-    hi = np.array([c.p_max for c in cuboids]).min(axis=0)
-    if np.any(lo > hi):
+    region = _central_rows(*_stack(cuboids))
+    if region is None:
         return None
     return Cuboid(space, frozenset().union(*(c.domains for c in cuboids)),
-                  lo.tolist(), hi.tolist())
+                  region[0].tolist(), region[1].tolist())
+
+
+def _central_rows(lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Common intersection of stacked bound rows; ``None`` when empty."""
+    low, high = lo.max(axis=0), hi.min(axis=0)
+    if (low > high).any():
+        return None
+    return low, high
 
 
 def nearest_points(a: Cuboid, b: Cuboid) -> tuple[np.ndarray, np.ndarray]:
@@ -227,132 +257,214 @@ def repair(cuboids: Sequence[Cuboid]) -> tuple[Cuboid, ...]:
     if not cubs:
         raise ValidationError("need at least one cuboid")
     space = cubs[0].space
-    lows = np.array([c.p_min for c in cubs])
-    highs = np.array([c.p_max for c in cubs])
-    finite = np.isfinite(lows)
-    counts = finite.sum(axis=0)
-    centers = 0.5 * (np.where(finite, lows, 0.0) + np.where(finite, highs, 0.0))
-    meet = np.divide(centers.sum(axis=0), counts,
-                     out=np.zeros(space.n), where=counts > 0)
-    bounded = counts > 0
-    new_lo = np.where(bounded, np.minimum(lows, meet), lows)
-    new_hi = np.where(bounded, np.maximum(highs, meet), highs)
+    lo, hi = _repair_rows(*_stack(cubs))
     return tuple(Cuboid(space, c.domains, l, h)
-                 for c, l, h in zip(cubs, new_lo.tolist(), new_hi.tolist()))
+                 for c, l, h in zip(cubs, lo.tolist(), hi.tolist()))
+
+
+def _repair_rows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`repair` on stacked bound rows."""
+    finite = np.isfinite(lo)
+    counts = finite.sum(axis=0)
+    centers = 0.5 * (np.where(finite, lo, 0.0) + np.where(finite, hi, 0.0))
+    bounded = counts > 0
+    meet = np.divide(centers.sum(axis=0), counts,
+                     out=np.zeros(lo.shape[1]), where=bounded)
+    return (np.where(bounded, np.minimum(lo, meet), lo),
+            np.where(bounded, np.maximum(hi, meet), hi))
 
 
 def _core_of_rows(space: Space, domains: Sequence[frozenset[str]],
                   lo: np.ndarray, hi: np.ndarray) -> "Core":
     """Canonical core of stacked bound rows.
 
-    Duplicate rows (same domains and bounds) are dropped, keeping the first;
-    :func:`repair` runs when the rows' central region is empty, and its
-    output is deduplicated again.  Then every row that lies inside another
-    row of the same domain set is dropped, so no kept cuboid lies inside
-    another.  The distance to a union of cuboids is the minimum over its
-    members, so the dropped rows never set it: the result covers the same
-    points, and its central region can only grow.  Cuboids are built only
-    for the rows kept.
+    When the rows' central region is empty, duplicate rows (same domains
+    and bounds) are dropped, keeping the first, so each counts once in the
+    meet point, and the rest are repaired.  Then every row that equals an
+    earlier row or lies inside another row of the same domain set is
+    dropped, so no kept cuboid lies inside another.  The distance to a union
+    of cuboids is the minimum over its members, so the dropped rows never
+    set it: the result covers the same points, and its central region can
+    only grow.
     """
-    rows = dict(zip(zip(domains, map(tuple, lo.tolist()), map(tuple, hi.tolist())),
-                    range(len(domains))))
-    if np.any(lo.max(axis=0) > hi.min(axis=0)):
-        # repair can stretch distinct rows into equal ones
-        cubs = list({(c.domains, c.p_min, c.p_max): c
-                     for c in repair([Cuboid(space, *row) for row in rows])}
-                    .values())
-        keep = _maximal_rows([c.domains for c in cubs],
-                             np.array([c.p_min for c in cubs]),
-                             np.array([c.p_max for c in cubs]))
-        return Core(tuple(compress(cubs, keep)))
-    if len(rows) < len(domains):
-        index = list(rows.values())
-        lo, hi = lo[index], hi[index]
-    keep = _maximal_rows([d for d, _, _ in rows], lo, hi)
-    return Core(tuple(Cuboid(space, *row) for row in compress(rows, keep)))
+    if _central_rows(lo, hi) is None:
+        inside = _inside(domains, lo, hi)
+        first = _first_of_equal(inside & inside.T)
+        if not first.all():
+            domains = list(compress(domains, first))
+            lo, hi = lo[first], hi[first]
+        lo, hi = _repair_rows(lo, hi)
+    keep = _maximal_rows(domains, lo, hi)
+    if not all(keep):
+        domains = list(compress(domains, keep))
+        lo, hi = lo[keep], hi[keep]
+    return Core._from_rows(space, domains, lo, hi)
 
 
-def _maximal_rows(domains: Sequence[frozenset[str]], lo: np.ndarray,
-                  hi: np.ndarray) -> list[bool]:
-    """Which of the distinct rows lie inside no other row of their domain set.
+def _domain_codes(domains: Sequence[frozenset[str]]
+                  ) -> tuple[list[frozenset[str]], np.ndarray]:
+    """The distinct domain sets in order of appearance, and each row's index
+    into them."""
+    index = {d: i for i, d in enumerate(dict.fromkeys(domains))}
+    code = np.fromiter(map(index.__getitem__, domains), dtype=np.intp,
+                       count=len(domains))
+    return list(index), code
+
+
+def _inside(domains: Sequence[frozenset[str]], lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """``(k, k)`` mask: row ``i`` lies inside row ``j`` of the same domain set.
 
     Row ``i`` lies inside row ``j`` exactly when ``[-lo, hi]`` of ``i`` is
     at most that of ``j`` everywhere; the pairs are compared in blocks of
-    rows.  A row inside another can only own more domains than its
-    container, so comparing rows of equal domain sets alone never shrinks
-    the core's domain set.
+    rows.  Equal rows lie inside each other.
     """
     k = len(domains)
-    if k == 1:
-        return [True]
     b = np.concatenate([-lo, hi], axis=1)
     inside = np.empty((k, k), dtype=bool)
     step = max(1, _BLOCK_ENTRIES // b.size)
     for start in range(0, k, step):
         inside[start:start + step] = (b[start:start + step, None] <= b).all(-1)
-    codes = {d: i for i, d in enumerate(dict.fromkeys(domains))}
-    if len(codes) > 1:
-        code = np.array([codes[d] for d in domains])
+    distinct, code = _domain_codes(domains)
+    if len(distinct) > 1:
         inside &= code[:, None] == code
-    # every row lies inside itself; a maximal row inside no other
-    return (inside.sum(axis=1) == 1).tolist()
+    return inside
 
 
-@dataclass(frozen=True)
+def _first_of_equal(equal: np.ndarray) -> np.ndarray:
+    """Rows equal to no earlier row, given the ``(k, k)`` equality mask."""
+    # argmax finds the first equal row, which is the row itself or earlier
+    return equal.argmax(axis=1) == np.arange(len(equal))
+
+
+def _maximal_rows(domains: Sequence[frozenset[str]], lo: np.ndarray,
+                  hi: np.ndarray) -> list[bool]:
+    """Which rows lie inside no other row of their domain set.
+
+    Of equal rows only the first is kept.  A row inside another can only
+    own more domains than its container, so comparing rows of equal domain
+    sets alone never shrinks the core's domain set.
+    """
+    if len(domains) == 1:
+        return [True]
+    inside = _inside(domains, lo, hi)
+    equal = inside & inside.T
+    # ``inside > equal``: inside a row that is not equal to it, so larger
+    return (_first_of_equal(equal) & ~(inside > equal).any(axis=1)).tolist()
+
+
 class Core:
     """Union of cuboids with a non-empty common intersection.
 
-    The domain set is the union of the member cuboids' domain sets; the
-    cached central region is their common intersection.  Construction fails
-    when that intersection is empty; use :func:`repair` first in that case.
+    The state is the rows: ``domains`` holds one domain set per member, and
+    ``lo``/``hi`` the members' bounds stacked as read-only ``(k, n)``
+    arrays.  ``cuboids``, the member cuboids, are built from the rows when
+    first read; a core built from cuboids keeps them as given.  The domain
+    set is the union of the rows' domain sets; the central region is their
+    common intersection.  Construction fails when that intersection is
+    empty; use :func:`repair` first in that case.  Cores are immutable.
+    Two cores are equal, and hash equal, when their spaces, their rows'
+    domain sets in order and their bounds are equal, as their cuboid tuples
+    would be.
     """
 
-    cuboids: tuple[Cuboid, ...]
-    # The member cuboids' bounds stacked one row each (k x n), read-only.
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    space: Space
+    domains: tuple[frozenset[str], ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    domain_set: frozenset[str]
 
-    def __post_init__(self):
-        cubs = tuple(self.cuboids)
-        object.__setattr__(self, "cuboids", cubs)
+    def __init__(self, cuboids: Iterable[Cuboid]):
+        cubs = tuple(cuboids)
         if not cubs:
             raise ValidationError("a core needs at least one cuboid")
         space = cubs[0].space
         for c in cubs[1:]:
             if c.space != space:
                 raise ValidationError("cuboids belong to different spaces")
-        if not frozenset().union(*(c.domains for c in cubs)):
+        domains = tuple(c.domains for c in cubs)
+        self._set_rows(space, domains, frozenset().union(*domains), *_stack(cubs))
+        self.__dict__["cuboids"] = cubs
+
+    @classmethod
+    def _from_rows(cls, space: Space, domains: Sequence[frozenset[str]],
+                   lo: np.ndarray, hi: np.ndarray) -> "Core":
+        """Core of stacked bound rows, checked in one vectorised pass.
+
+        The rows must be valid cuboids: finite and ordered bounds on the
+        dimensions their domains own, exactly ``-inf``/``+inf`` elsewhere.
+        A faulty row raises the message its ``Cuboid`` would.
+        """
+        domains = tuple(domains)
+        if lo.shape != (len(domains), space.n) or hi.shape != lo.shape:
+            raise ValidationError("support bounds must cover every dimension")
+        distinct, code = _domain_codes(domains)
+        owned = np.array([space._owned(d) for d in distinct])[code]
+        # owned: -inf < lo <= hi < inf; elsewhere lo == -inf and hi == inf
+        # (``lo <= hi`` also rejects NaN on either side)
+        valid = (lo <= hi) & ((lo > -np.inf) == owned) & ((hi < np.inf) == owned)
+        if not valid.all():
+            i = int(np.argmin(valid.all(axis=1)))
+            Cuboid(space, domains[i], lo[i].tolist(), hi[i].tolist())
+            raise ValidationError(f"row {i} is not a valid cuboid")
+        core = cls.__new__(cls)
+        core._set_rows(space, domains, frozenset().union(*distinct), lo, hi)
+        return core
+
+    def _set_rows(self, space: Space, domains: tuple[frozenset[str], ...],
+                  domain_set: frozenset[str], lo: np.ndarray,
+                  hi: np.ndarray) -> None:
+        if not domain_set:
             raise ValidationError("a core must cover at least one domain")
-        lo = np.array([c.p_min for c in cubs])
-        hi = np.array([c.p_max for c in cubs])
-        lo.flags.writeable = hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if np.any(lo.max(axis=0) > hi.min(axis=0)):
+        if _central_rows(lo, hi) is None:
             raise ValidationError(
                 "cuboids have an empty common intersection; apply repair() "
                 "before building a core")
+        lo.flags.writeable = hi.flags.writeable = False
+        self.__dict__.update(space=space, domains=domains,
+                             domain_set=domain_set, lo=lo, hi=hi)
 
-    @property
-    def space(self) -> Space:
-        return self.cuboids[0].space
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: cores are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: cores are immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Core):
+            return NotImplemented
+        return (self.space == other.space and self.domains == other.domains
+                and np.array_equal(self.lo, other.lo)
+                and np.array_equal(self.hi, other.hi))
+
+    def __hash__(self):
+        # float hashes agree with float equality (hash(-0.0) == hash(0.0)),
+        # which the raw bytes of the arrays would not
+        return hash((self.space, self.domains, tuple(self.lo.ravel().tolist()),
+                     tuple(self.hi.ravel().tolist())))
+
+    def __repr__(self):
+        return f"Core(cuboids={self.cuboids!r})"
 
     @cached_property
-    def domain_set(self) -> frozenset[str]:
-        return frozenset().union(*(c.domains for c in self.cuboids))
+    def cuboids(self) -> tuple[Cuboid, ...]:
+        """The member cuboids, built from the rows on first read."""
+        return tuple(Cuboid(self.space, d, l, h) for d, l, h
+                     in zip(self.domains, self.lo.tolist(), self.hi.tolist()))
 
     @cached_property
     def central_region(self) -> Cuboid:
-        return Cuboid(self.space, self.domain_set, tuple(self.lo.max(axis=0)),
-                      tuple(self.hi.min(axis=0)))
+        low, high = _central_rows(self.lo, self.hi)
+        return Cuboid(self.space, self.domain_set, low.tolist(), high.tolist())
 
     @cached_property
     def central_point(self) -> Point:
         """Midpoint of the central region, the natural prototype location."""
-        return Point(self.space, tuple(self.central_region.inner_point()))
+        return Point(self.space,
+                     tuple(_inner_point(*_central_rows(self.lo, self.hi))))
 
     def contains(self, x: Point) -> bool:
-        return any(c.contains(x) for c in self.cuboids)
+        return bool(self.contains_batch(x.array[None, :])[0])
 
     def contains_batch(self, coords: np.ndarray) -> np.ndarray:
         """Whether each coordinate row lies in at least one member cuboid."""
@@ -390,9 +502,13 @@ class Core:
         hi = np.minimum(self.hi[:, None], other.hi).reshape(-1, n)
         keep = np.flatnonzero(np.all(lo <= hi, axis=1))
         if keep.size:
-            ia, ib = np.divmod(keep, len(other.cuboids))
-            domains = [self.cuboids[i].domains | other.cuboids[j].domains
-                       for i, j in zip(ia.tolist(), ib.tolist())]
+            ia, ib = np.divmod(keep, len(other.domains))
+            # each distinct pair of domain sets is joined once
+            sets_a, code_a = _domain_codes(self.domains)
+            sets_b, code_b = _domain_codes(other.domains)
+            joined = [x | y for x in sets_a for y in sets_b]
+            pairs = code_a[ia] * len(sets_b) + code_b[ib]
+            domains = list(map(joined.__getitem__, pairs.tolist()))
             return _core_of_rows(self.space, domains, lo[keep], hi[keep])
         pa, pb = _nearest_between(self, other)
         dom = self.domain_set | other.domain_set
@@ -411,8 +527,7 @@ class Core:
         """
         if self.space != other.space:
             raise ValidationError("cores belong to different spaces")
-        domains = [c.domains for c in self.cuboids + other.cuboids]
-        return _core_of_rows(self.space, domains,
+        return _core_of_rows(self.space, self.domains + other.domains,
                              np.vstack([self.lo, other.lo]),
                              np.vstack([self.hi, other.hi]))
 
@@ -432,8 +547,8 @@ class Core:
                 f"projection target {sorted(target)} is not a subset of the "
                 f"core's domains {sorted(self.domain_set)}")
         owned = np.array(self.space._owned(target))
-        return _core_of_rows(self.space,
-                             [target & c.domains for c in self.cuboids],
+        cut = {d: target & d for d in set(self.domains)}
+        return _core_of_rows(self.space, [cut[d] for d in self.domains],
                              np.where(owned, self.lo, -np.inf),
                              np.where(owned, self.hi, np.inf))
 

@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import LatticeSizeError, ValidationError
-from .geometry import _BLOCK_ENTRIES, Core, Cuboid, nearest_point_pairs
-from .space import Point, Weights
+from .geometry import (_BLOCK_ENTRIES, Core, Cuboid, _inner_point,
+                       nearest_point_pairs)
+from .space import Point, Space, Weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .concept import Concept
@@ -69,21 +70,36 @@ def alpha_cut_bbox(cuboid: Cuboid, peak: float, decay: float,
     distance ``r`` along a single dimension.  The box contains the true
     level set and touches it on every face.
     """
+    lo, hi = _alpha_cut_rows(cuboid.space, cuboid.domains, cuboid.lo,
+                             cuboid.hi, peak, decay, weights, alpha)
+    return Cuboid(cuboid.space, cuboid.domains, tuple(lo), tuple(hi))
+
+
+def _alpha_cut_core(concept: "Concept", alpha: float) -> Core:
+    """Core of the :func:`alpha_cut_bbox` boxes of all the concept's rows."""
+    core = concept.core
+    lo, hi = _alpha_cut_rows(core.space, core.domain_set, core.lo, core.hi,
+                             concept.peak, concept.decay, concept.weights,
+                             alpha)
+    return Core._from_rows(core.space, core.domains, lo, hi)
+
+
+def _alpha_cut_rows(space: Space, domains: frozenset[str], lo: np.ndarray,
+                    hi: np.ndarray, peak: float, decay: float,
+                    weights: Weights, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`alpha_cut_bbox` on bound rows (or one row) owning ``domains``."""
     if not 0 < alpha <= peak:
         raise ValidationError(
             f"level {alpha!r} must be in (0, peak]; peak is {peak!r}")
     if not decay > 0:
         raise ValidationError("decay rate must be positive")
-    if not cuboid.domains <= weights.domain_set:
-        missing = sorted(cuboid.domains - weights.domain_set)
+    if not domains <= weights.domain_set:
+        missing = sorted(domains - weights.domain_set)
         raise ValidationError(f"weights do not cover domains {missing}")
     r = math.log(peak / alpha) / decay
-    space = cuboid.space
-    lo, hi = np.array(cuboid.p_min), np.array(cuboid.p_max)
-    own = np.isfinite(lo)
-    off = np.zeros(space.n)
-    off[own] = r / weights.metric(space).axis_rates()[own]
-    return Cuboid(space, cuboid.domains, tuple(lo - off), tuple(hi + off))
+    off = np.divide(r, weights.metric(space).axis_rates(),
+                    out=np.zeros(lo.shape), where=np.isfinite(lo))
+    return lo - off, hi + off
 
 
 @dataclass(frozen=True)
@@ -334,9 +350,10 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
     deltas = near2.reshape(-1, space.n) - points
     touching = np.flatnonzero(~deltas.any(axis=1))
     if touching.size:
-        i, j = divmod(int(touching[0]), len(c2.core.cuboids))
-        shared = c1.core.cuboids[i].intersect(c2.core.cuboids[j])
-        witness = Point(space, tuple(shared.inner_point()))
+        i, j = divmod(int(touching[0]), len(c2.core.domains))
+        shared = _inner_point(np.maximum(c1.core.lo[i], c2.core.lo[j]),
+                              np.minimum(c1.core.hi[i], c2.core.hi[j]))
+        witness = Point(space, tuple(shared))
         low = min(c1.peak, c2.peak)
         return HeightResult(low, witness, iterations=0, converged=True,
                             bound=low)

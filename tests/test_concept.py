@@ -249,6 +249,25 @@ class TestIntersect:
             a.intersect(b)
 
 
+class TestSharedWeights:
+    def test_shared_weights_are_kept_bit_for_bit(self):
+        rng = np.random.default_rng(39)
+        for _ in range(100):
+            a = random_concept(rng, max_cuboids=3, min_domains=2)
+            w = a.weights
+            # equal weights in another object, on another core
+            b = random_concept(rng, a.space)
+            b = Concept(b.core, b.peak, b.decay,
+                        Weights(w.domain_weights, w.dimension_weights))
+            # the same core: the intersection takes the touching path
+            c = Concept(a.core, float(rng.uniform(0.5, 1.0)),
+                        float(rng.uniform(0.4, 2.5)), b.weights)
+            for got in (a.union(b), a.intersect(c)):
+                assert got.weights is w
+                assert got.weights.metric(a.space) is w.metric(a.space)
+            assert a.union(b).decay == min(a.decay, b.decay)
+
+
 class TestUnion:
     def test_self_union_is_identity(self, fig_cross):
         rng = np.random.default_rng(46)

@@ -778,3 +778,91 @@ def test_prune_in_blocks_matches_one_broadcast():
     expect = _fold_union(Core(cubs[:75]), Core(cubs[75:]),
                          {"repair": 0, "pruned": 0})
     assert _bits(got.cuboids) == _bits(expect)
+
+
+# ---------------------------------------------------------------------------
+# Array-first cores: the rows are the state, cuboids are built when read.
+
+def test_algebra_builds_no_cuboids_until_read(monkeypatch):
+    rng = np.random.default_rng(37)
+    built, repairs = [], []
+    post_init, repair_rows = Cuboid.__post_init__, geometry._repair_rows
+
+    def counting_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_repair(lo, hi):
+        repairs.append(len(lo))
+        return repair_rows(lo, hi)
+
+    for _ in range(12):
+        x = random_concept(rng, max_cuboids=4, min_domains=2)
+        space = x.space
+        near = [random_concept(rng, space, max_cuboids=4) for _ in range(3)]
+        # far partners: disjoint cores, so the intersection takes the
+        # α-cut path and the union's central region needs repair
+        far = [translated(random_concept(rng, space, max_cuboids=4),
+                          np.full(space.n, 3.0)) for _ in range(2)]
+        target = sorted(space.domain_names)[:-1]
+        with monkeypatch.context() as m:
+            m.setattr(Cuboid, "__post_init__", counting_init)
+            m.setattr(geometry, "_repair_rows", counting_repair)
+            y = (x.intersect(near[0]).union(near[1]).intersect(far[0])
+                 .union(far[1]).intersect(near[2]).project(target))
+            assert built == []
+            cubs = y.core.cuboids
+            assert len(built) == len(cubs) and y.core.cuboids is cubs
+        assert Core(cubs).cuboids == cubs and Core(cubs) == y.core
+        assert np.array([c.p_min for c in cubs]).tobytes() == y.core.lo.tobytes()
+        assert np.array([c.p_max for c in cubs]).tobytes() == y.core.hi.tobytes()
+        assert [c.domains for c in cubs] == list(y.core.domains)
+        built.clear()
+    assert len(repairs) >= 12
+
+
+def test_cores_from_rows_and_from_cuboids_are_equal():
+    domains = (frozenset({"color"}), frozenset({"color", "size"}))
+    lo = np.array([[-0.0, 0.0, -math.inf], [-1.0, -1.0, 0.0]])
+    hi = np.array([[1.0, 1.0, math.inf], [0.5, 0.0, 2.0]])
+    rows = Core._from_rows(MIXED, domains, lo, hi)
+    cubs = (Cuboid(MIXED, domains[0], (0.0, 0.0, -math.inf), (1.0, 1.0, math.inf)),
+            Cuboid(MIXED, domains[1], (-1.0, -1.0, 0.0), (0.5, 0.0, 2.0)))
+    given = Core(cubs)
+    # -0.0 == 0.0, so the cores are equal and must hash equal
+    assert math.copysign(1.0, rows.lo[0, 0]) == -1.0
+    assert rows == given and hash(rows) == hash(given)
+    assert rows.cuboids == cubs and given.cuboids is cubs
+    assert {rows} == {given} and {given: 1}[rows] == 1
+    w = Weights.uniform(MIXED)
+    assert Concept(rows, 0.8, 1.0, w) == Concept(given, 0.8, 1.0, w)
+    # another space object of the same structure is the same space
+    assert rows == Core(tuple(Cuboid(Space(MIXED.domains), c.domains, c.p_min,
+                                     c.p_max) for c in cubs))
+    # order, bounds and domains of the rows all count
+    assert rows != Core(cubs[::-1]) and rows != Core(cubs[:1])
+    assert rows != Core((cubs[0], Cuboid(MIXED, domains[1], (-1.0, -1.0, 0.0),
+                                         (0.5, 0.0, 3.0))))
+    # algebra results equal their own cuboids, wherever those came from
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        a = random_concept(rng, max_cuboids=4, min_domains=2).core
+        for got in (a.union(_partner(rng, a)), a.intersect(_partner(rng, a))):
+            again = Core(got.cuboids)
+            assert got == again and hash(got) == hash(again)
+    with pytest.raises(AttributeError):
+        rows.lo = hi
+    assert not rows.lo.flags.writeable and not rows.hi.flags.writeable
+
+
+@pytest.mark.parametrize("domains, lo, hi, message",
+                         [f for f in _FAULTS if len(f[1]) == len(f[2]) == 3])
+def test_rows_are_checked_like_cuboids(domains, lo, hi, message):
+    good = Cuboid.from_bounds(MIXED, ["color", "size"],
+                              {"hue": 0.0, "sat": 0.0, "diam": 0.0},
+                              {"hue": 1.0, "sat": 1.0, "diam": 1.0})
+    with pytest.raises(ValidationError) as err:
+        Core._from_rows(MIXED, [good.domains, frozenset(domains)],
+                        np.array([good.p_min, lo], dtype=float),
+                        np.array([good.p_max, hi], dtype=float))
+    assert str(err.value) == message
