@@ -24,12 +24,10 @@ import numpy as np
 from .concept import CombinationParams, Concept, combine_adjective_noun
 from .errors import ConceptSpaceError, LatticeSizeError, ValidationError
 from .kb import Defaults, KnowledgeBase, concept_from_dict, concept_to_dict
-from .optimize import (DEFAULT_CELL_CAP, DEFAULT_MAX_ITER,
-                       height_of_intersection)
+from .optimize import DEFAULT_CELL_CAP, height_of_intersection
 from .space import Point, Space
 
 TOLERANCE_ENV = "CSPACES_TOLERANCE"
-MAX_ITER_ENV = "CSPACES_MAX_ITER"
 KB_ENV = "CSPACES_KB"
 
 

@@ -101,15 +101,19 @@ class Concept:
         """Fuzzy intersection.
 
         The new peak is the height of intersection.  When the crisp cores
-        share a point the cores are intersected directly; otherwise each
-        cuboid's level set at that height is approximated by its exact
-        bounding box and the boxes are intersected, with repair.  The decay
-        is the smaller of the two, shared weights are blended, exclusive
-        ones copied, and domain weights renormalized.
+        share a point it is the smaller peak and the cores are intersected
+        directly; otherwise it is solved, each cuboid's level set at that
+        height is approximated by its exact bounding box and the boxes are
+        intersected, with repair.  The decay is the smaller of the two,
+        shared weights are blended, exclusive ones copied, and domain
+        weights renormalized.
         """
+        if cores_intersect(self.core, other.core):
+            return _intersect_at(self, other, min(self.peak, other.peak),
+                                 params, touching=True)
         alpha = optimize.height_of_intersection(self, other, tol=tol,
                                                 max_iter=max_iter).value
-        return _intersect_at(self, other, alpha, params)
+        return _intersect_at(self, other, alpha, params, touching=False)
 
     def union(self, other: "Concept",
               params: CombinationParams | None = None) -> "Concept":
@@ -145,14 +149,15 @@ class Concept:
 
 
 def _intersect_at(a: Concept, b: Concept, alpha: float,
-                  params: CombinationParams | None) -> Concept:
-    """:meth:`Concept.intersect` for a known height of intersection."""
+                  params: CombinationParams | None, touching: bool) -> Concept:
+    """:meth:`Concept.intersect` at a known height, given whether the cores
+    share a point."""
     params = params or CombinationParams()
     if alpha < ALPHA_FLOOR:
         raise UnrelatedConceptsError(
             f"height of intersection {alpha!r} is below the floor "
             f"{ALPHA_FLOOR}; the concepts are effectively unrelated")
-    if cores_intersect(a.core, b.core):
+    if touching:
         core = a.core.intersect(b.core)
     else:
         core = optimize._alpha_cut_core(a, alpha).intersect(
@@ -258,15 +263,15 @@ def subsethood_check(sub: Concept, sup: Concept, sample_count: int = 10_000,
         hi = np.where(np.isfinite(hi), hi, win_hi)
         return rng.uniform(lo, hi, size=(count, space.n))
 
-    boxes_core = [(c.lo, c.hi)
-                  for concept in (sub, sup) for c in concept.core.cuboids]
+    boxes_core = [box for concept in (sub, sup)
+                  for box in zip(concept.core.lo, concept.core.hi)]
     boxes_near = []
     for concept in (sub, sup):
-        for c in concept.core.cuboids:
-            grown = optimize.alpha_cut_bbox(
-                c, concept.peak, concept.decay, concept.weights,
-                concept.peak * math.exp(-1.0))
-            boxes_near.append((grown.lo, grown.hi))
+        core = concept.core
+        grown = optimize._alpha_cut_rows(
+            space, core.domain_set, core.lo, core.hi, concept.peak,
+            concept.decay, concept.weights, concept.peak * math.exp(-1.0))
+        boxes_near.extend(zip(*grown))
 
     third = max(1, sample_count // 3)
     parts = []
@@ -317,7 +322,8 @@ def combine_adjective_noun(prop: Concept, noun: Concept,
     height = optimize.height_of_intersection(prop, noun, tol=tol,
                                              max_iter=max_iter).value
     if height >= threshold:
-        return _intersect_at(prop, noun, height, params)
+        return _intersect_at(prop, noun, height, params,
+                             cores_intersect(prop.core, noun.core))
     rest = noun.core.domain_set - {prop_domain}
     if not rest:
         # Nothing of the concept survives the replacement; the property is

@@ -16,7 +16,8 @@ objects are built only when ``Core.cuboids`` is first read.  Results are
 canonical: no kept row lies inside another of the same domain set.  Such a
 row never sets the distance to the union, which is the minimum over the
 members, so memberships are unchanged; it would only cost work in every
-later operation.  Cores built directly from cuboids keep them as given.
+later operation.  Cores that callers build directly from cuboids keep them
+as given.
 
 Two cores are equal when their rows are: the same space, the same domain
 set per row, in order, and equal bounds (so ``-0.0`` equals ``0.0``), which
@@ -154,10 +155,6 @@ class Cuboid:
         lo = tuple(v if k else -math.inf for v, k in zip(self.p_min, keep))
         hi = tuple(v if k else math.inf for v, k in zip(self.p_max, keep))
         return Cuboid(self.space, target, lo, hi)
-
-    def clamp(self, coords: np.ndarray) -> np.ndarray:
-        """Nearest point of the cuboid to the given coordinates."""
-        return np.clip(coords, self.lo, self.hi)
 
     def inner_point(self) -> np.ndarray:
         """A deterministic finite point inside the cuboid."""
@@ -359,7 +356,8 @@ class Core:
     The state is the rows: ``domains`` holds one domain set per member, and
     ``lo``/``hi`` the members' bounds stacked as read-only ``(k, n)``
     arrays.  ``cuboids``, the member cuboids, are built from the rows when
-    first read; a core built from cuboids keeps them as given.  The domain
+    first read; a core that a caller builds from cuboids keeps them as
+    given (the library itself builds every core from rows).  The domain
     set is the union of the rows' domain sets; the central region is their
     common intersection.  Construction fails when that intersection is
     empty; use :func:`repair` first in that case.  Cores are immutable.

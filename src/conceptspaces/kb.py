@@ -26,6 +26,11 @@ Top-level layout::
 
 ``mu0`` and ``c`` are the stored names of a concept's peak membership and
 decay rate.
+
+Cuboid entries decode to a core's rows (a domain set and full-length
+bounds, ``-inf``/``+inf`` off the entry's domains); decoding checks only the
+entries' format, and ``Core._from_rows`` checks the rows once per concept.
+Encoding writes from the same rows, so neither way builds a ``Cuboid``.
 """
 
 from __future__ import annotations
@@ -35,13 +40,16 @@ import math
 import os
 import stat
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
+
+import numpy as np
 
 from .concept import CombinationParams, Concept
 from .errors import KbFormatError, UnknownNameError, ValidationError
-from .geometry import Core, Cuboid
+from .geometry import Core
 from .space import Space, Weights
 
 FORMAT_VERSION = 1
@@ -243,23 +251,9 @@ def weights_from_dict(space: Space, data: Any, path: str,
         return normalized
 
 
-def _cuboid_to_dict(cuboid: Cuboid, concept_dims: tuple[str, ...]) -> dict:
-    own = set(cuboid.dim_names)
-    p_min: dict[str, float | None] = {}
-    p_max: dict[str, float | None] = {}
-    space = cuboid.space
-    for d in concept_dims:
-        if d in own:
-            i = space.index_of(d)
-            p_min[d] = cuboid.p_min[i]
-            p_max[d] = cuboid.p_max[i]
-        else:
-            p_min[d] = None
-            p_max[d] = None
-    return {"domains": sorted(cuboid.domains), "p_min": p_min, "p_max": p_max}
-
-
-def _cuboid_from_dict(space: Space, data: Any, path: str) -> Cuboid:
+def _rows_from_dict(space: Space, data: Any, path: str
+                    ) -> tuple[frozenset[str], list[float], list[float]]:
+    """One cuboid entry as its domain set and its two bound rows."""
     data = _expect_mapping(data, path)
     raw_domains = data.get("domains")
     if (not isinstance(raw_domains, list) or not raw_domains
@@ -269,38 +263,50 @@ def _cuboid_from_dict(space: Space, data: Any, path: str) -> Cuboid:
         if name not in space.domain_names:
             raise KbFormatError(f"{path}.domains: unknown domain {name!r}")
     domains = frozenset(raw_domains)
-    own = {d for name in domains for d in space.dims_of(name)}
-    bounds = {"p_min": {}, "p_max": {}}
-    for key in ("p_min", "p_max"):
+    owned = space._owned(domains)
+    index = space._dim_index
+    rows = []
+    for key, side, fill in (("p_min", "lower", -math.inf),
+                            ("p_max", "upper", math.inf)):
         raw = _expect_mapping(data.get(key), f"{path}.{key}")
+        row = [fill] * space.n
         for dim, value in raw.items():
-            if dim not in space.dim_names:
+            i = index.get(dim)
+            if i is None:
                 raise KbFormatError(f"{path}.{key}: unknown dimension {dim!r}")
             if value is None:
-                if dim in own:
+                if owned[i]:
                     raise KbFormatError(
                         f"{path}.{key}: dimension {dim!r} is covered by the "
                         f"cuboid's domains and needs a finite bound")
                 continue
-            if dim not in own:
+            if not owned[i]:
                 raise KbFormatError(
                     f"{path}.{key}: dimension {dim!r} lies outside the "
                     f"cuboid's domains and must be null or absent")
-            bounds[key][dim] = _expect_number(value, f"{path}.{key}.{dim}")
-    try:
-        return Cuboid.from_bounds(space, domains, bounds["p_min"],
-                                  bounds["p_max"])
-    except ValidationError as exc:
-        raise KbFormatError(f"{path}: {exc}") from exc
+            row[i] = _expect_number(value, f"{path}.{key}.{dim}")
+        # numbers are finite, so an owned dimension still at ``fill`` has none
+        missing = [d for d, own, v in zip(space.dim_names, owned, row)
+                   if own and v == fill]
+        if missing:
+            raise KbFormatError(f"{path}: missing {side} bound for {missing}")
+        rows.append(row)
+    return domains, rows[0], rows[1]
 
 
 def concept_to_dict(concept: Concept) -> dict:
-    space = concept.space
-    concept_dims = tuple(d for name, dims in space.domains
-                         if name in concept.core.domain_set for d in dims)
+    core, space = concept.core, concept.space
+    dims = [(i, d) for i, (d, own) in enumerate(
+        zip(space.dim_names, space._owned(core.domain_set))) if own]
+    cuboids = []
+    for domains, lo, hi in zip(core.domains, core.lo.tolist(),
+                               core.hi.tolist()):
+        own = space._owned(domains)
+        cuboids.append({"domains": sorted(domains),
+                        "p_min": {d: lo[i] if own[i] else None for i, d in dims},
+                        "p_max": {d: hi[i] if own[i] else None for i, d in dims}})
     return {
-        "cuboids": [_cuboid_to_dict(c, concept_dims)
-                    for c in concept.core.cuboids],
+        "cuboids": cuboids,
         "mu0": concept.peak,
         "c": concept.decay,
         "weights": weights_to_dict(concept.weights),
@@ -313,14 +319,16 @@ def concept_from_dict(space: Space, data: Any, path: str = "concept",
     raw_cuboids = data.get("cuboids")
     if not isinstance(raw_cuboids, list) or not raw_cuboids:
         raise KbFormatError(f"{path}.cuboids: expected a non-empty list")
-    cuboids = tuple(_cuboid_from_dict(space, entry, f"{path}.cuboids[{i}]")
-                    for i, entry in enumerate(raw_cuboids))
+    domains, lo, hi = zip(*(_rows_from_dict(space, entry,
+                                            f"{path}.cuboids[{i}]")
+                            for i, entry in enumerate(raw_cuboids)))
     peak = _expect_number(data.get("mu0"), f"{path}.mu0")
     decay = _expect_number(data.get("c"), f"{path}.c")
     weights = weights_from_dict(space, data.get("weights"), f"{path}.weights",
                                 auto_normalize=auto_normalize)
     try:
-        return Concept(Core(cuboids), peak, decay, weights)
+        return Concept(Core._from_rows(space, domains, np.array(lo),
+                                       np.array(hi)), peak, decay, weights)
     except ValidationError as exc:
         raise KbFormatError(f"{path}: {exc}") from exc
 

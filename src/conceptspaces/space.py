@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -67,11 +67,6 @@ class Space:
                 if d in seen_dims:
                     raise ValidationError(f"duplicate dimension name {d!r}")
                 seen_dims.add(d)
-
-    @classmethod
-    def from_mapping(cls, domains: Mapping[str, Sequence[str]]) -> "Space":
-        """Build a space from an ordered ``{domain: [dimensions]}`` mapping."""
-        return cls(tuple((name, tuple(dims)) for name, dims in domains.items()))
 
     @cached_property
     def dim_names(self) -> tuple[str, ...]:
@@ -240,12 +235,6 @@ class Weights:
     @cached_property
     def domain_set(self) -> frozenset[str]:
         return frozenset(self.domain_weights)
-
-    def weight_of(self, domain: str) -> float:
-        try:
-            return self.domain_weights[domain]
-        except KeyError:
-            raise ValidationError(f"unknown domain {domain!r}") from None
 
     def dim_weight(self, domain: str, dim: str) -> float:
         sub = self.dimension_weights.get(domain)

@@ -10,6 +10,7 @@ from conceptspaces import (CombinationParams, Concept, Core, Cuboid, Point,
                            Space, UnrelatedConceptsError, ValidationError,
                            Weights, combine_adjective_noun, combined_distance,
                            domain_distance, optimize, subsethood_check)
+from conceptspaces.concept import _intersect_at
 
 from conftest import (LINE, PLANE, between_points, box_core,
                       brute_min_distance, line_concept, random_concept,
@@ -191,6 +192,31 @@ class TestIntersect:
         assert got.core.cuboids[0].p_min[0] == pytest.approx(2.0, abs=1e-6)
         assert got.core.cuboids[0].p_max[0] == pytest.approx(2.0, abs=1e-6)
 
+    def test_touching_cores_skip_the_height_solver(self, monkeypatch,
+                                                   fig_cross):
+        other = Concept(box_core(PLANE, [({"x": 3.0, "y": 3.0},
+                                          {"x": 5.0, "y": 5.0})]),
+                        0.8, 1.0, Weights.uniform(PLANE))
+        far = Concept(box_core(PLANE, [({"x": 6.0, "y": 6.0},
+                                        {"x": 7.0, "y": 7.0})]),
+                      0.8, 1.0, Weights.uniform(PLANE))
+        height = optimize.height_of_intersection(fig_cross, other)
+        assert height.iterations == 0 and height.value == 0.8
+        expected = _intersect_at(fig_cross, other, height.value, None, True)
+        calls = []
+        solve = optimize.height_of_intersection
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "height_of_intersection", counted)
+        assert fig_cross.intersect(other) == expected
+        assert calls == []
+        # disjoint cores still solve the height, once
+        fig_cross.intersect(far)
+        assert len(calls) == 1
+
     def test_disjoint_domain_sets_cross_product(self):
         color = Concept(
             Core((Cuboid.from_bounds(MIXED, ["color"],
@@ -369,6 +395,21 @@ class TestSubsethood:
         outer = line_concept(0.0, 4.0, peak=0.9, decay=1.2)
         inner = line_concept(1.0, 3.0, peak=0.9, decay=1.2)
         assert subsethood_check(inner, outer, 4000).holds
+
+    def test_builds_no_cuboids(self, monkeypatch, fig_cross):
+        built = []
+        post_init = Cuboid.__post_init__
+
+        def counting_init(self):
+            built.append(self)
+            post_init(self)
+
+        rebuilt = fig_cross.project(["width"]).intersect(
+            fig_cross.project(["height"]))
+        monkeypatch.setattr(Cuboid, "__post_init__", counting_init)
+        assert subsethood_check(fig_cross, rebuilt, 1000).holds
+        assert not subsethood_check(rebuilt, fig_cross, 1000).holds
+        assert built == []
 
     def test_violation_reports_witness(self):
         wide = line_concept(0.0, 5.0)

@@ -11,6 +11,7 @@ import pytest
 from conceptspaces import (Concept, Core, Cuboid, KbFormatError,
                            KnowledgeBase, Space, UnknownNameError,
                            ValidationError, Weights)
+from conceptspaces.cli import main
 from conceptspaces.kb import Defaults, concept_from_dict, concept_to_dict
 
 from conftest import (LINE, PLANE, box_core, line_concept, random_concept,
@@ -211,7 +212,9 @@ class TestValidation:
         payload = minimal_payload()
         del payload["concepts"]["unit"]["cuboids"][0]["p_min"]["y"]
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError, match="'y'"):
+        with pytest.raises(KbFormatError,
+                           match=r"^concepts\.unit\.cuboids\[0\]: missing "
+                                 r"lower bound for \['y'\]$"):
             KnowledgeBase.load(path)
 
     def test_null_bound_on_covered_dimension_rejected(self, tmp_path):
@@ -220,6 +223,59 @@ class TestValidation:
         path = write_payload(tmp_path, payload)
         with pytest.raises(KbFormatError, match="'x'"):
             KnowledgeBase.load(path)
+
+    def test_number_outside_the_cuboid_domains_names_it(self, tmp_path):
+        payload = minimal_payload()
+        entry = payload["concepts"]["unit"]["cuboids"][0]
+        entry["domains"] = ["width"]
+        entry["p_max"]["y"] = None
+        path = write_payload(tmp_path, payload)
+        with pytest.raises(KbFormatError,
+                           match=r"concepts\.unit\.cuboids\[0\]\.p_min: "
+                                 r"dimension 'y' lies outside"):
+            KnowledgeBase.load(path)
+
+    def test_lower_bound_above_upper_bound_names_the_dimension(self,
+                                                               tmp_path):
+        payload = minimal_payload()
+        cuboids = payload["concepts"]["unit"]["cuboids"]
+        cuboids.append({"domains": ["width", "height"],
+                        "p_min": {"x": 0.5, "y": 0.9},
+                        "p_max": {"x": 0.6, "y": 0.8}})
+        path = write_payload(tmp_path, payload)
+        with pytest.raises(KbFormatError,
+                           match=r"^concepts\.unit: lower bound exceeds upper "
+                                 r"bound on dimension 'y'$"):
+            KnowledgeBase.load(path)
+
+    def test_disjoint_entries_name_the_concept(self, tmp_path):
+        payload = minimal_payload()
+        payload["concepts"]["unit"]["cuboids"].append(
+            {"domains": ["width", "height"], "p_min": {"x": 2.0, "y": 2.0},
+             "p_max": {"x": 3.0, "y": 3.0}})
+        path = write_payload(tmp_path, payload)
+        with pytest.raises(KbFormatError,
+                           match=r"^concepts\.unit: cuboids have an empty "
+                                 r"common intersection"):
+            KnowledgeBase.load(path)
+
+    def test_integer_bounds_come_out_as_floats(self, tmp_path):
+        payload = minimal_payload()
+        entry = payload["concepts"]["unit"]["cuboids"][0]
+        canonical = KnowledgeBase.load(write_payload(tmp_path, payload))
+        entry["p_min"] = {"x": 0, "y": 0}
+        entry["p_max"] = {"x": 1, "y": 1}
+        payload["concepts"]["unit"]["mu0"] = 1
+        kb = KnowledgeBase.load(write_payload(tmp_path, payload))
+        assert kb == canonical
+        stored = concept_to_dict(kb.get_concept("unit"))["cuboids"][0]
+        assert all(type(v) is float for key in ("p_min", "p_max")
+                   for v in stored[key].values())
+        kb.save(tmp_path / "one.json")
+        canonical.save(tmp_path / "two.json")
+        text = (tmp_path / "one.json").read_text()
+        assert text == (tmp_path / "two.json").read_text()
+        assert '"x": 1.0' in text
 
     def test_error_messages_name_the_concept(self, tmp_path):
         payload = minimal_payload()
@@ -266,3 +322,72 @@ def test_fuzz_random_operation_sequences(tmp_path):
     assert set(kb.concepts) == set(mirror)
     for name, concept in mirror.items():
         assert kb.get_concept(name) == concept
+
+
+def _algebra_kb() -> KnowledgeBase:
+    """Intersect, union and project results over mixed-domain rows, one of
+    them with a ``-0.0`` bound."""
+    color = Concept(Core((Cuboid.from_bounds(MIXED, ["color"],
+                                             {"hue": -0.0, "sat": 0.0},
+                                             {"hue": 2.0, "sat": 1.0}),)),
+                    0.9, 1.2, Weights.uniform(MIXED, ["color"]))
+    both = Concept(box_core(MIXED, [
+        ({"hue": 1.0, "sat": 0.5, "diam": 0.0}, {"hue": 3.0, "sat": 2.0,
+                                                 "diam": 1.0}),
+        ({"hue": 0.5, "sat": 0.25, "diam": 0.5}, {"hue": 1.5, "sat": 0.75,
+                                                  "diam": 2.5})]),
+        0.8, 0.7, Weights.normalized({"color": 1.5, "size": 0.5},
+                                     {"color": {"hue": 0.3, "sat": 0.7},
+                                      "size": {"diam": 1.0}}))
+    far = Concept(box_core(MIXED, [({"hue": 6.0, "sat": 6.0, "diam": 6.0},
+                                    {"hue": 7.0, "sat": 7.0, "diam": 7.0})]),
+                  1.0, 0.5, Weights.uniform(MIXED))
+    union = color.union(both)
+    concepts = {"color": color, "both": both, "union": union,
+                "meet": color.intersect(both), "far": both.intersect(far),
+                "proj": union.project(["color"])}
+    return KnowledgeBase(MIXED, concepts)
+
+
+def test_algebra_results_round_trip_byte_identically(tmp_path):
+    kb = _algebra_kb()
+    union = kb.get_concept("union").core
+    assert len(set(union.domains)) == 2
+    assert math.copysign(1.0, union.lo[0, 0]) == -1.0
+    first, second = tmp_path / "one.json", tmp_path / "two.json"
+    kb.save(first)
+    assert '"hue": -0.0' in first.read_text()
+    loaded = KnowledgeBase.load(first)
+    loaded.save(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.concepts == kb.concepts
+    assert math.copysign(1.0, loaded.get_concept("union").core.lo[0, 0]) == -1.0
+    # the bytes are those of the same cores built from their cuboids
+    rebuilt = KnowledgeBase(MIXED, {
+        name: Concept(Core(c.core.cuboids), c.peak, c.decay, c.weights)
+        for name, c in kb.concepts.items()})
+    rebuilt.save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_kb_paths_build_no_cuboids(tmp_path, monkeypatch, capsys):
+    kb = _algebra_kb()
+    path = tmp_path / "kb.json"
+    built = []
+    post_init = Cuboid.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Cuboid, "__post_init__", counting_init)
+    kb.save(path)
+    loaded = KnowledgeBase.load(path)
+    loaded.save(path)
+    assert main(["concept", "show", "union", "--kb", str(path)]) == 0
+    assert main(["validate", "--kb", str(path)]) == 0
+    assert built == []
+    shown = capsys.readouterr().out
+    assert shown.endswith("}\nok\n")
+    assert json.loads(shown[:-len("ok\n")]) == concept_to_dict(
+        kb.get_concept("union"))
