@@ -80,8 +80,9 @@ class Concept:
         if x.space is not self.space and x.space != self.space:
             raise ValidationError("point and concept belong to different spaces")
         dist = optimize.core_distance_batch(x.array[None, :], self.core,
-                                            self.weights)
-        return float((self.peak * np.exp(-self.decay * dist))[0])
+                                            self.weights)[0]
+        # numpy's exp on the scalar, so the bits match membership_batch
+        return float(self.peak * np.exp(-self.decay * dist))
 
     def membership_batch(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized membership over rows of coordinates in space order."""

@@ -123,6 +123,10 @@ class Cuboid:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def _reach(self) -> float:
+        return _bound_reach(self.lo, self.hi)
+
     def contains(self, x: Point) -> bool:
         """Whether the point lies inside (boundary included)."""
         arr = x.array
@@ -177,6 +181,16 @@ def _inner_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     only_hi = finite_hi & ~finite_lo
     out[only_hi] = hi[only_hi]
     return out
+
+
+def _bound_reach(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Largest magnitude of the finite bounds.
+
+    A point's gap to the box, its clamped copy minus itself, is at most
+    this plus the point's largest coordinate magnitude.
+    """
+    return float(max(np.abs(lo[lo > -np.inf]).max(initial=0.0),
+                     np.abs(hi[hi < np.inf]).max(initial=0.0)))
 
 
 def point_cuboid(space: Space, domains: Iterable[str],
@@ -451,6 +465,17 @@ class Core:
                      in zip(self.domains, self.lo.tolist(), self.hi.tolist()))
 
     @cached_property
+    def _reach(self) -> float:
+        return _bound_reach(self.lo, self.hi)
+
+    @cached_property
+    def _bounds_t(self) -> tuple[np.ndarray, np.ndarray]:
+        """``lo`` and ``hi`` transposed, ``(n, k, 1)``: the dimension-first
+        operands of point-by-row gaps."""
+        return (np.ascontiguousarray(self.lo.T)[:, :, None],
+                np.ascontiguousarray(self.hi.T)[:, :, None])
+
+    @cached_property
     def central_region(self) -> Cuboid:
         low, high = _central_rows(self.lo, self.hi)
         return Cuboid(self.space, self.domain_set, low.tolist(), high.tolist())
@@ -569,6 +594,6 @@ def _nearest_between(a: Core, b: Core) -> tuple[np.ndarray, np.ndarray]:
     """Nearest point pair between two cores under uniform weights."""
     weights = Weights.uniform(a.space, sorted(a.domain_set | b.domain_set))
     pa, pb = nearest_point_pairs(a, b)
-    dist = weights.metric(a.space).distance(pb - pa)
+    dist = weights.metric(a.space).distance(np.moveaxis(pb - pa, -1, 0))
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     return pa[i, j], pb[i, j]

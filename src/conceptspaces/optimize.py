@@ -3,8 +3,10 @@
 Exact distance from points to cuboids and cores via per-dimension clamping,
 the height of intersection of two fuzzy concepts (largest membership level at
 which their level sets still meet), and a brute-force lattice oracle used to
-cross-check it.  This module computes gaps; the compiled metric of
-:mod:`conceptspaces.space` turns them into distances.  The height is solved
+cross-check it.  This module computes gaps, dimension-first as the compiled
+metric of :mod:`conceptspaces.space` takes them, and that metric turns them
+into distances; a point's distance to a core has the same bits whether it
+is asked for alone or in a batch of any size.  The height is solved
 per cuboid pair through the Lagrangian dual of the convex min-max, which
 separates by domain under the combined metric; it comes with an attained
 value, a witness point and a certified upper bound.
@@ -43,21 +45,35 @@ def distance_to_cuboid(x: Point, cuboid: Cuboid, weights: Weights) -> float:
         missing = sorted(cuboid.domains - weights.domain_set)
         raise ValidationError(f"weights do not cover domains {missing}")
     gap = np.minimum(np.maximum(x.array, cuboid.lo), cuboid.hi) - x.array
-    return float(weights.metric(x.space).distance(gap))
+    return float(weights.metric(x.space)._distance(gap,
+                                                   x._reach + cuboid._reach))
 
 
 def core_distance_batch(coords: np.ndarray, core: Core,
                         weights: Weights) -> np.ndarray:
-    """Minimum combined distance from each coordinate row to a core."""
+    """Minimum combined distance from each coordinate row to a core.
+
+    The gaps of a block of rows to the core's ``k`` cuboids are built
+    dimension-first, ``(n, k, rows)``, from the core's transposed bounds,
+    and evaluated as ``(n, k * rows)``.
+    """
     coords = np.asarray(coords, dtype=float)
     metric = weights.metric(core.space)
-    lo, hi = core.lo, core.hi
+    lo, hi = core._bounds_t
+    n, k = lo.shape[:2]
     rows = max(1, _BLOCK_ENTRIES // lo.size)
+    reach = (np.maximum.reduce(np.abs(coords), axis=None, initial=0.0)
+             + core._reach)
+    cols = coords.T
     out = np.empty(len(coords))
     for start in range(0, len(coords), rows):
-        block = coords[start:start + rows, None, :]
-        gap = np.minimum(np.maximum(block, lo), hi) - block
-        out[start:start + rows] = metric.distance(gap).min(axis=1)
+        block = cols[:, None, start:start + rows]
+        gap = np.maximum(block, lo)
+        np.minimum(gap, hi, out=gap)
+        gap -= block
+        dist = metric._distance(gap.reshape(n, -1), reach)
+        np.minimum.reduce(dist.reshape(k, -1), axis=0,
+                          out=out[start:start + rows])
     return out
 
 

@@ -8,9 +8,11 @@ equality under the combined metric.
 
 Every distance in the package is evaluated by one kernel: :class:`Metric`,
 the weights compiled against a space, maps per-dimension gaps to per-domain
-norms and combined distances over arrays of any leading shape.  It rescales
-gaps whose squares could overflow, so distances stay finite and accurate up
-to the largest finite coordinates.
+norms and combined distances.  Gaps are dimension-first, ``(n, ...)``, and
+the kernel works plane by plane in a fixed summation order, so a gap's
+distance does not depend on the shape of the batch that holds it.  It
+rescales gaps whose squares could overflow, so distances stay finite and
+accurate up to the largest finite coordinates.
 """
 
 from __future__ import annotations
@@ -187,6 +189,12 @@ class Point:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def _reach(self) -> float:
+        """Largest coordinate magnitude; gaps between two points are at
+        most the sum of theirs."""
+        return max(map(abs, self.coords))
+
 
 @dataclass(frozen=True)
 class Weights:
@@ -292,11 +300,24 @@ class Metric:
 
     ``wdom`` holds one weight per domain of the space and ``wdim`` one per
     dimension, both 0 where the weights do not cover the domain; ``starts``
-    and ``domain_index`` are the space's domain layout.  Gaps are arrays of
-    shape ``(..., n)`` in space order.
+    and ``domain_index`` are the space's domain layout, and ``domains`` the
+    names of the covered domains, in space order.
+
+    Gaps are dimension-first: arrays of shape ``(n, ...)`` whose first axis
+    runs over the dimensions in space order, and every step works on whole
+    planes of that axis.  The gaps are squared and weighted; each covered
+    domain's planes are summed into its first one in the order
+    ``a0 + ((a1 + a2) + ...)``, which is how ``np.add.reduceat`` sums a
+    short segment; the roots of those sums are the domain norms, and the
+    distance is ``(w0 n0 + w1 n1) + ...`` over the covered domains in space
+    order (an uncovered domain would only add 0).
+    All of it is elementwise across the trailing axes, so a gap's distance
+    has the same bits whatever the shape of the batch it is evaluated in:
+    alone, stacked with others or in any block of a larger batch.
     """
 
-    __slots__ = ("space", "starts", "domain_index", "wdom", "wdim")
+    __slots__ = ("space", "starts", "domain_index", "wdom", "wdim", "domains",
+                 "_spans", "_covered", "_heads", "_folds", "_columns")
 
     def __init__(self, space: Space, weights: Weights):
         unknown = weights.domain_set - set(space.domain_names)
@@ -309,28 +330,83 @@ class Metric:
         self.wdim = np.array([weights.dim_weight(name, d)
                               if name in weights.domain_set else 0.0
                               for name, dims in space.domains for d in dims])
+        ends = self.starts.tolist()[1:] + [space.n]
+        self._spans = tuple(zip(self.starts.tolist(), ends))
+        self._covered = [i for i, name in enumerate(space.domain_names)
+                         if name in weights.domain_set]
+        self.domains = tuple(space.domain_names[i] for i in self._covered)
+        self._heads = self.starts[self._covered]
+        # (target, source) plane additions that sum each covered domain into
+        # its first plane: the planes after the second into the second,
+        # then the second into the first
+        folds = []
+        for start, end in (self._spans[i] for i in self._covered):
+            folds += [(start + 1, j) for j in range(start + 2, end)]
+            if end - start > 1:
+                folds.append((start, start + 1))
+        self._folds = tuple(folds)
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _weight_columns(self, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+        """``wdim`` and the covered domains' ``wdom`` shaped to broadcast
+        over ``ndim``-D gaps."""
+        columns = self._columns.get(ndim)
+        if columns is None:
+            shape = (-1,) + (1,) * (ndim - 1)
+            columns = (self.wdim.reshape(shape),
+                       self.wdom[self._covered].reshape(shape))
+            self._columns[ndim] = columns
+        return columns
 
     def domain_norms(self, gap: np.ndarray) -> np.ndarray:
-        """Weighted Euclidean norm of the gaps on every domain, ``(..., D)``.
+        """Weighted Euclidean norm of the gaps on each covered domain,
+        ``(len(domains), ...)``.
 
-        When a gap could overflow its square, each domain's gaps are divided
-        by their largest magnitude first.  Gaps smaller than about 1e-160
-        square to 0 and count as no gap.
+        When a gap's largest magnitude on a domain is finite but large
+        enough that squares could overflow, that domain's gaps are divided
+        by it first; the test is made per gap and domain, so it does not
+        depend on the batch either.  Gaps smaller than about 1e-160 square
+        to 0 and count as no gap.
         """
-        mag = np.abs(gap)
-        scale = None
-        if _SQUARE_LIMIT < mag.max(initial=0.0) < math.inf:
-            scale = np.maximum.reduceat(mag, self.starts, axis=-1)
-            scale[scale == 0.0] = 1.0
-            gap = gap / scale[..., self.domain_index]
-        sq = gap * gap
-        sq *= self.wdim
-        norms = np.sqrt(np.add.reduceat(sq, self.starts, axis=-1))
-        return norms if scale is None else norms * scale
+        return self._norms(gap, math.inf)
 
     def distance(self, gap: np.ndarray) -> np.ndarray:
         """Combined distance of the gaps, shape ``(...)``."""
-        return self.domain_norms(gap) @ self.wdom
+        return self._distance(gap, math.inf)
+
+    def _norms(self, gap: np.ndarray, reach: float) -> np.ndarray:
+        """:meth:`domain_norms` of gaps whose magnitudes are known to be at
+        most ``reach``, such as the sum of the largest coordinate magnitudes
+        of the points and bounds they join.  A reach up to the square limit
+        spares the overflow test; any larger value, ``inf`` included, runs
+        it, and the result is the same either way."""
+        scale = None
+        if not reach <= _SQUARE_LIMIT:
+            mag = np.abs(gap)
+            if np.maximum.reduce(mag, axis=None, initial=0.0) > _SQUARE_LIMIT:
+                top = np.stack([np.maximum.reduce(mag[start:end])
+                                for start, end in self._spans])
+                huge = (_SQUARE_LIMIT < top) & (top < math.inf)
+                if huge.any():
+                    scale = np.where(huge, top, 1.0)
+                    gap = gap / scale[self.domain_index]
+        sq = gap * gap
+        sq *= self._weight_columns(gap.ndim)[0]
+        for target, source in self._folds:
+            sq[target] += sq[source]
+        norms = np.sqrt(sq.take(self._heads, 0))
+        if scale is not None:
+            norms *= scale.take(self._covered, 0)
+        return norms
+
+    def _distance(self, gap: np.ndarray, reach: float) -> np.ndarray:
+        """:meth:`distance` with ``reach`` as for :meth:`_norms`."""
+        norms = self._norms(gap, reach)
+        norms *= self._weight_columns(gap.ndim)[1]
+        total = norms[0]
+        for d in range(1, len(norms)):
+            total += norms[d]
+        return total
 
     def axis_rates(self) -> np.ndarray:
         """Combined distance per unit of movement along each dimension alone."""
@@ -347,14 +423,16 @@ def domain_distance(x: Point, y: Point, domain: str, weights: Weights) -> float:
     _check_same_space(x, y)
     if domain not in weights.domain_set:
         raise ValidationError(f"domain {domain!r} is not covered by the weights")
-    norms = weights.metric(x.space).domain_norms(x.array - y.array)
-    return float(norms[x.space.domain_names.index(domain)])
+    metric = weights.metric(x.space)
+    norms = metric._norms(x.array - y.array, x._reach + y._reach)
+    return float(norms[metric.domains.index(domain)])
 
 
 def combined_distance(x: Point, y: Point, weights: Weights) -> float:
     """Weighted Manhattan combination of the per-domain Euclidean distances."""
     _check_same_space(x, y)
-    return float(weights.metric(x.space).distance(x.array - y.array))
+    return float(weights.metric(x.space)._distance(x.array - y.array,
+                                                   x._reach + y._reach))
 
 
 def similarity(x: Point, y: Point, decay: float, weights: Weights) -> float:
@@ -376,8 +454,10 @@ def between(x: Point, y: Point, z: Point, weights: Weights,
     _check_same_space(y, z)
     if tol is not None and tol < 0:
         raise ValidationError("tolerance must be non-negative")
-    gaps = np.array((x.array - z.array, x.array - y.array, y.array - z.array))
-    d_xz, d_xy, d_yz = weights.metric(x.space).distance(gaps).tolist()
+    # dimension-first, one column per pair
+    gaps = np.array((x.array - z.array, x.array - y.array, y.array - z.array)).T
+    reach = x._reach + y._reach + z._reach
+    d_xz, d_xy, d_yz = weights.metric(x.space)._distance(gaps, reach).tolist()
     if tol is None:
         tol = 1e-9 * (1.0 + d_xz)
     return abs(d_xy + d_yz - d_xz) <= tol
