@@ -6,10 +6,12 @@ which their level sets still meet), and a brute-force lattice oracle used to
 cross-check it.  This module computes gaps, dimension-first as the compiled
 metric of :mod:`conceptspaces.space` takes them, and that metric turns them
 into distances; a point's distance to a core has the same bits whether it
-is asked for alone or in a batch of any size.  The height is solved
-per cuboid pair through the Lagrangian dual of the convex min-max, which
-separates by domain under the combined metric; it comes with an attained
-value, a witness point and a certified upper bound.
+is asked for alone or in a batch of any size.  The height is the best
+over cuboid pairs; each pair is solved through the Lagrangian dual of the
+convex min-max, which separates by domain under the combined metric, and
+pairs are solved best first by a certified floor, so those that cannot
+beat the value already attained are skipped.  The result comes with an
+attained value, a witness point and a certified upper bound.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ class HeightResult:
     certified up to floating-point rounding, and ``gap`` is
     ``bound - value``.  ``converged`` is true exactly when ``gap`` is within
     the requested tolerance.  ``iterations`` counts the values of the dual
-    variable evaluated over all cuboid pairs; it is 0 when the cores touch
+    variable evaluated over the cuboid pairs solved; pairs skipped because
+    their floor rules them out add nothing.  It is 0 when the cores touch
     and ``value`` is exact.
     """
 
@@ -152,6 +155,9 @@ _SLOPE_TOL = 1e-13
 # Search range for ln(nu) beyond the curve's bends; past it the minimiser
 # sits at an end of the gap to machine precision.
 _NU_MARGIN = 60.0
+# Relative margin by which a pair's floor must exceed -ln of the best value
+# attained before the pair is skipped, so that rounding never skips a tie.
+_FLOOR_MARGIN = 1e-9
 
 
 class _Term:
@@ -352,9 +358,17 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
     separate by domain: closed form where the two concepts' norms on a
     domain are proportional, one monotone equation otherwise.  The dual
     gives the certified ``bound``; a point mixed from the search's last
-    bracket gives the attained ``value``.  ``max_iter`` caps the dual
-    values evaluated, split evenly over the cuboid pairs (at least two per
-    pair).
+    bracket gives the attained ``value``.
+
+    The pairs are solved best first, in ascending order of a certified
+    floor on their ``-ln`` height (:func:`_pair_floors`), and the search
+    stops at the first pair whose floor exceeds ``-ln(value)`` by a small
+    relative margin.  That pair and all later ones have heights of at most
+    ``exp(-floor) < value``, so they cannot beat the value attained and
+    the bound stays certified.  Ties go to the pair that comes first in
+    row order, as in a search over all pairs.  ``max_iter`` caps the dual
+    values evaluated, split evenly over all the cuboid pairs (at least two
+    per pair), skipped ones included.
     """
     if c1.space != c2.space:
         raise ValidationError("concepts belong to different spaces")
@@ -382,11 +396,16 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
                                               m1.wdom.tolist(), m2.wdom.tolist())
                if w1 > 0 and w2 > 0]
     k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
+    floors = _pair_floors(c1, c2, deltas)
     budget = max(2, max_iter // len(deltas))
-    witnesses = np.empty_like(deltas)
     min_dual = math.inf
+    value, witness, best = -math.inf, None, -1
+    limit = math.inf
     total = 0
-    for row, (pa, delta) in enumerate(zip(points, deltas)):
+    for row in np.argsort(floors, kind="stable").tolist():
+        if floors[row] > limit:
+            break
+        pa, delta = points[row], deltas[row]
         terms = [_Term(span, da, db, m1.wdim[span], m2.wdim[span], delta[span])
                  for span, da, db in domains if delta[span].any()]
         dual, fracs, steps = _pair_dual(k1, k2, terms, budget)
@@ -395,15 +414,53 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
         f = np.zeros(space.n)
         for term, frac in zip(terms, fracs):
             f[term.span] = frac
-        witnesses[row] = pa + f * delta
-    values = np.minimum(c1.membership_batch(witnesses),
-                        c2.membership_batch(witnesses))
-    best = int(np.argmax(values))
-    value = float(values[best])
+        x = (pa + f * delta)[None]
+        attained = float(np.minimum(c1.membership_batch(x),
+                                    c2.membership_batch(x))[0])
+        if attained > value or (attained == value and row < best):
+            value, witness, best = attained, x[0], row
+            if value > 0:
+                t = -math.log(value)
+                limit = t + _FLOOR_MARGIN * (1.0 + t)
     bound = max(math.exp(-min_dual), value)
-    return HeightResult(value, Point(space, tuple(witnesses[best].tolist())),
+    return HeightResult(value, Point(space, tuple(witness.tolist())),
                         iterations=total, converged=bound - value <= tol,
                         bound=bound)
+
+
+def _pair_floors(c1: "Concept", c2: "Concept",
+                 deltas: np.ndarray) -> np.ndarray:
+    """Certified lower bound on ``-ln`` of every cuboid pair's height.
+
+    ``deltas`` holds the gaps between the pairs' nearest points, one row
+    per pair, for cores that do not touch.  A gap is nonzero only on the
+    domains that both cores own, which both weights measure.  Write ``d1``
+    for the first concept's distance and ``kappa`` for the smallest ratio,
+    over those domains, of the second concept's axis rates to the first's.
+    Then ``f2 >= k2 + c2 * kappa * d1(x, C_j)`` with ``k = -ln(peak)`` and
+    ``c`` the decay, and ``d1(x, C_i) + d1(x, C_j) >= d1(gap)``, so
+    ``max(f1, f2)`` is at least the balance point ``(A*B*D + B*k1 + A*k2)
+    / (A + B)`` with ``(A, B, D) = (c1, c2 * kappa, d1(gap))``.  The same
+    holds with the roles of the metrics swapped, and the larger of the two
+    is kept, as is ``max(k1, k2)``.  When the weights are the same,
+    ``kappa == 1`` and the floor is the pair's exact ``-ln`` height.
+    """
+    space = c1.space
+    m1, m2 = c1.weights.metric(space), c2.weights.metric(space)
+    k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
+    r1, r2 = m1.axis_rates(), m2.axis_rates()
+    measured = (r1 > 0) & (r2 > 0)
+    r1, r2 = r1[measured], r2[measured]
+    gaps = deltas.T
+    reach = c1.core._reach + c2.core._reach
+    floor = np.full(len(deltas), max(k1, k2))
+    for a, b, dist in ((c1.decay, c2.decay * float((r2 / r1).min()),
+                        m1._distance(gaps, reach)),
+                       (c1.decay * float((r1 / r2).min()), c2.decay,
+                        m2._distance(gaps, reach))):
+        np.maximum(floor, (a * b * dist + b * k1 + a * k2) / (a + b),
+                   out=floor)
+    return floor
 
 
 def oracle_bounds(c1: "Concept", c2: "Concept",

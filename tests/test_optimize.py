@@ -9,8 +9,11 @@ from conceptspaces import (Concept, Core, Cuboid, LatticeSizeError, Space,
                            ValidationError, Weights, alpha_cut_bbox,
                            distance_to_cuboid, grid_oracle_max_min,
                            height_of_intersection, oracle_bounds)
+from conceptspaces.geometry import cores_intersect, nearest_point_pairs
+from conceptspaces.optimize import (DEFAULT_MAX_ITER, DEFAULT_TOL, _pair_dual,
+                                    _pair_floors, _Term)
 from conftest import (LINE, PLANE, box_core, brute_min_distance, line_concept,
-                      random_concept, random_space, translated)
+                      random_concept, random_space, random_weights, translated)
 
 
 class TestDistanceToCuboid:
@@ -218,6 +221,132 @@ class TestHeightOfIntersection:
         assert abs(res.value - oracle) <= 1e-3
         assert res.value >= oracle - step_error
         assert res.converged and res.gap <= 1e-6
+
+
+def _pair_rows(c1, c2):
+    """Nearest point of every cuboid pair on the first core, and the gap."""
+    near1, near2 = nearest_point_pairs(c1.core, c2.core)
+    points = near1.reshape(-1, c1.space.n)
+    return points, near2.reshape(-1, c1.space.n) - points
+
+
+def _pair_duals(c1, c2, budget=DEFAULT_MAX_ITER):
+    """Every cuboid pair's certified dual and witness, in row order."""
+    space = c1.space
+    m1, m2 = c1.weights.metric(space), c2.weights.metric(space)
+    k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
+    points, deltas = _pair_rows(c1, c2)
+    duals, witnesses = [], []
+    for pa, delta in zip(points, deltas):
+        terms, pos = [], 0
+        for name, dims in space.domains:
+            span = slice(pos, pos + len(dims))
+            pos += len(dims)
+            if (name in c1.weights.domain_set and name in c2.weights.domain_set
+                    and delta[span].any()):
+                terms.append(_Term(
+                    span, c1.decay * c1.weights.domain_weights[name],
+                    c2.decay * c2.weights.domain_weights[name],
+                    m1.wdim[span], m2.wdim[span], delta[span]))
+        dual, fracs, _ = _pair_dual(k1, k2, terms, budget)
+        f = np.zeros(space.n)
+        for term, frac in zip(terms, fracs):
+            f[term.span] = frac
+        duals.append(dual)
+        witnesses.append(pa + f * delta)
+    return duals, np.array(witnesses)
+
+
+def _exhaustive_height(c1, c2, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """The height solved on every cuboid pair, with no pair skipped."""
+    budget = max(2, max_iter // (len(c1.core.domains) * len(c2.core.domains)))
+    duals, witnesses = _pair_duals(c1, c2, budget)
+    values = np.minimum(c1.membership_batch(witnesses),
+                        c2.membership_batch(witnesses))
+    best = int(np.argmax(values))
+    value = float(values[best])
+    bound = max(math.exp(-min(duals)), value)
+    return value, bound, tuple(witnesses[best].tolist()), bound - value <= tol
+
+
+def _property(rng, space, domain, weights=None):
+    """One-domain concept of 1-4 cuboids whose weights cover only it."""
+    dims = space.dims_of(domain)
+    anchor = rng.uniform(-2.0, 2.0, len(dims))
+    cuboids = [Cuboid.from_bounds(
+        space, [domain], dict(zip(dims, anchor - rng.uniform(0.05, 1.5, len(dims)))),
+        dict(zip(dims, anchor + rng.uniform(0.05, 1.5, len(dims)))))
+        for _ in range(int(rng.integers(1, 5)))]
+    weights = weights or random_weights(rng, space, [domain])
+    return Concept(Core(tuple(cuboids)), float(rng.uniform(0.5, 1.0)),
+                   float(rng.uniform(0.4, 2.5)), weights)
+
+
+def _disjoint_pairs(rng, count):
+    """Concept pairs with disjoint cores: shared weights, differing weights,
+    and a one-domain property against a concept over every domain."""
+    pairs = []
+    while len(pairs) < count:
+        space = random_space(rng)
+        kind = len(pairs) % 3
+        c2 = random_concept(rng, space, max_cuboids=4)
+        if kind == 2:
+            c1 = _property(rng, space, space.domain_names[
+                int(rng.integers(len(space.domain_names)))])
+        else:
+            c1 = random_concept(rng, space, max_cuboids=4)
+            if kind == 0:
+                c1 = Concept(c1.core, c1.peak, c1.decay, c2.weights)
+        c2 = translated(c2, rng.uniform(-4.0, 4.0, space.n))
+        if not cores_intersect(c1.core, c2.core):
+            pairs.append((c1, c2))
+    return pairs
+
+
+class TestBestFirstPairs:
+    def test_matches_exhaustive_search(self):
+        rng = np.random.default_rng(36)
+        for c1, c2 in _disjoint_pairs(rng, 150):
+            res = height_of_intersection(c1, c2)
+            value, bound, witness, converged = _exhaustive_height(c1, c2)
+            assert res.value == value
+            assert res.bound == bound
+            assert res.witness.coords == witness
+            assert res.converged == converged
+
+    def test_floor_is_certified(self):
+        rng = np.random.default_rng(37)
+        for c1, c2 in _disjoint_pairs(rng, 120):
+            floors = _pair_floors(c1, c2, _pair_rows(c1, c2)[1])
+            duals, _ = _pair_duals(c1, c2)
+            for floor, dual in zip(floors.tolist(), duals):
+                if c1.weights is c2.weights:
+                    assert floor == pytest.approx(dual, rel=1e-12, abs=1e-15)
+                else:
+                    assert floor <= dual + 1e-12 * (1.0 + abs(dual))
+
+    def test_skips_pairs_that_cannot_win(self):
+        # Two crosses of three cuboids whose long arms face each other: only
+        # the pair of arms is solved, as if the cores held nothing else.
+        def cross(x0, arm):
+            return [({"x": x0 + min(0, arm), "y": -0.2},
+                     {"x": x0 + max(0, arm), "y": 0.2}),
+                    ({"x": x0 - 0.3, "y": -2.0}, {"x": x0 + 0.3, "y": 2.0}),
+                    ({"x": x0 - 0.5, "y": -0.5}, {"x": x0 + 0.5, "y": 0.5})]
+
+        w1 = Weights.uniform(PLANE)
+        w2 = Weights.normalized({"width": 1.3, "height": 0.7},
+                                {"width": {"x": 1.0}, "height": {"y": 1.0}})
+        full1, full2 = cross(0.0, 3.0), cross(10.0, -3.0)
+        a = Concept(box_core(PLANE, full1), 0.9, 1.0, w1)
+        b = Concept(box_core(PLANE, full2), 0.8, 1.4, w2)
+        arm_a = Concept(box_core(PLANE, full1[:1]), 0.9, 1.0, w1)
+        arm_b = Concept(box_core(PLANE, full2[:1]), 0.8, 1.4, w2)
+        res = height_of_intersection(a, b)
+        alone = height_of_intersection(arm_a, arm_b)
+        assert len(a.core.domains) == len(b.core.domains) == 3
+        assert res.iterations == alone.iterations > 0
+        assert res.value == alone.value and res.converged
 
 
 class TestGridOracle:
