@@ -27,7 +27,6 @@ from .kb import Defaults, KnowledgeBase, concept_from_dict, concept_to_dict
 from .optimize import DEFAULT_CELL_CAP, height_of_intersection
 from .space import Point, Space
 
-TOLERANCE_ENV = "CSPACES_TOLERANCE"
 KB_ENV = "CSPACES_KB"
 
 
@@ -206,20 +205,6 @@ def _load_kb(args, auto_normalize: bool = False) -> tuple[KnowledgeBase, Path]:
     return KnowledgeBase.load(path, auto_normalize=auto_normalize), path
 
 
-def _solver_tol(kb: KnowledgeBase) -> float:
-    raw = os.environ.get(TOLERANCE_ENV)
-    if raw is None:
-        return kb.defaults.tolerance
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{TOLERANCE_ENV} must be a number, got {raw!r}") from None
-    if not value > 0:
-        raise ValidationError(f"{TOLERANCE_ENV} must be positive")
-    return value
-
-
 def _combination(args, kb: KnowledgeBase) -> CombinationParams:
     s = kb.defaults.s if args.s is None else args.s
     t = kb.defaults.t if args.t is None else args.t
@@ -294,8 +279,7 @@ def _cmd_alpha_height(args) -> int:
     kb, _ = _load_kb(args)
     a = kb.get_concept(args.first)
     b = kb.get_concept(args.second)
-    result = height_of_intersection(a, b, tol=_solver_tol(kb))
-    print(_fmt(result.value))
+    print(_fmt(height_of_intersection(a, b).value))
     return 0
 
 
@@ -310,7 +294,7 @@ def _cmd_intersect(args) -> int:
     kb, path = _load_kb(args)
     a = kb.get_concept(args.first)
     b = kb.get_concept(args.second)
-    result = a.intersect(b, _combination(args, kb), tol=_solver_tol(kb))
+    result = a.intersect(b, _combination(args, kb))
     return _store(kb, path, args.out, result)
 
 
@@ -334,8 +318,7 @@ def _cmd_combine(args) -> int:
     noun = kb.get_concept(args.noun)
     threshold = kb.defaults.threshold if args.threshold is None else args.threshold
     result = combine_adjective_noun(prop, noun, threshold,
-                                    _combination(args, kb),
-                                    tol=_solver_tol(kb))
+                                    _combination(args, kb))
     return _store(kb, path, args.out, result)
 
 
@@ -392,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--threshold", type=_unit_float,
                         default=Defaults.threshold)
     p_init.add_argument("--tolerance", type=_positive_float,
-                        default=Defaults.tolerance)
+                        default=Defaults.tolerance,
+                        help="stored in the file; no command reads it")
     p_init.add_argument("--force", action="store_true",
                         help="replace an existing file")
     p_init.set_defaults(func=_cmd_space_init)

@@ -76,7 +76,11 @@ class Concept:
         return self.core.space
 
     def membership(self, x: Point) -> float:
-        """Graded membership of a point, in (0, peak]."""
+        """Graded membership of a point, in [0, peak].
+
+        The value underflows to 0 far from the core: with decay 10, a point
+        at distance 100 gets 0.0.
+        """
         if x.space is not self.space and x.space != self.space:
             raise ValidationError("point and concept belong to different spaces")
         dist = optimize.core_distance_batch(x.array[None, :], self.core,
@@ -96,9 +100,7 @@ class Concept:
         return self.membership(x) >= alpha
 
     def intersect(self, other: "Concept",
-                  params: CombinationParams | None = None,
-                  tol: float = optimize.DEFAULT_TOL,
-                  max_iter: int = optimize.DEFAULT_MAX_ITER) -> "Concept":
+                  params: CombinationParams | None = None) -> "Concept":
         """Fuzzy intersection.
 
         The new peak is the height of intersection.  When the crisp cores
@@ -112,8 +114,7 @@ class Concept:
         if cores_intersect(self.core, other.core):
             return _intersect_at(self, other, min(self.peak, other.peak),
                                  params, touching=True)
-        alpha = optimize.height_of_intersection(self, other, tol=tol,
-                                                max_iter=max_iter).value
+        alpha = optimize.height_of_intersection(self, other).value
         return _intersect_at(self, other, alpha, params, touching=False)
 
     def union(self, other: "Concept",
@@ -299,9 +300,7 @@ def subsethood_check(sub: Concept, sup: Concept, sample_count: int = 10_000,
 
 def combine_adjective_noun(prop: Concept, noun: Concept,
                            threshold: float = 0.5,
-                           params: CombinationParams | None = None,
-                           tol: float = optimize.DEFAULT_TOL,
-                           max_iter: int = optimize.DEFAULT_MAX_ITER) -> Concept:
+                           params: CombinationParams | None = None) -> Concept:
     """Combine a single-domain property with a concept.
 
     When the two are compatible (height of intersection at least
@@ -320,8 +319,7 @@ def combine_adjective_noun(prop: Concept, noun: Concept,
     if prop_domain not in noun.core.domain_set:
         raise ValidationError(
             f"the concept does not cover the property's domain {prop_domain!r}")
-    height = optimize.height_of_intersection(prop, noun, tol=tol,
-                                             max_iter=max_iter).value
+    height = optimize.height_of_intersection(prop, noun).value
     if height >= threshold:
         return _intersect_at(prop, noun, height, params,
                              cores_intersect(prop.core, noun.core))
@@ -330,4 +328,4 @@ def combine_adjective_noun(prop: Concept, noun: Concept,
         # Nothing of the concept survives the replacement; the property is
         # the whole answer.
         return prop
-    return prop.intersect(noun.project(rest), params, tol, max_iter)
+    return prop.intersect(noun.project(rest), params)

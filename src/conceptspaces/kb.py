@@ -58,7 +58,11 @@ SUPPORTED_VERSIONS = frozenset({1})
 
 @dataclass(frozen=True)
 class Defaults:
-    """Knowledge-base-wide defaults for combination operations."""
+    """Knowledge-base-wide defaults for combination operations.
+
+    ``tolerance`` is kept so that every format-1 file loads and saves
+    byte-identically; no operation reads it any more.
+    """
 
     s: float = 0.5
     t: float = 0.5

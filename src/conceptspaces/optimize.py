@@ -10,7 +10,8 @@ is asked for alone or in a batch of any size.  The height is the best
 over cuboid pairs; each pair is solved through the Lagrangian dual of the
 convex min-max, which separates by domain under the combined metric, and
 pairs are solved best first by a certified floor, so those that cannot
-beat the value already attained are skipped.  The result comes with an
+beat the value already attained are skipped.  Each solved pair gets at
+most ``_DUAL_CAP`` evaluations of its dual.  The result comes with an
 attained value, a witness point and a certified upper bound.
 """
 
@@ -25,13 +26,12 @@ import numpy as np
 from .errors import LatticeSizeError, ValidationError
 from .geometry import (_BLOCK_ENTRIES, Core, Cuboid, _inner_point,
                        nearest_point_pairs)
-from .space import Point, Space, Weights
+from .space import Metric, Point, Space, Weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .concept import Concept
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 10_000
 DEFAULT_CELL_CAP = 20_000_000
 
 
@@ -130,9 +130,9 @@ class HeightResult:
     certified up to floating-point rounding, and ``gap`` is
     ``bound - value``.  ``converged`` is true exactly when ``gap`` is within
     the requested tolerance.  ``iterations`` counts the values of the dual
-    variable evaluated over the cuboid pairs solved; pairs skipped because
-    their floor rules them out add nothing.  It is 0 when the cores touch
-    and ``value`` is exact.
+    variable evaluated over the cuboid pairs solved, at most ``_DUAL_CAP``
+    per pair; pairs skipped because their floor rules them out add nothing.
+    It is 0 when the cores touch and ``value`` is exact.
     """
 
     value: float
@@ -146,10 +146,13 @@ class HeightResult:
         return self.bound - self.value
 
 
-# Safeguarded Newton steps per inner solve, and the width of the bracket on
-# the dual variable at which the outer search stops.
+# Safeguarded Newton steps per inner solve, the width of the bracket on the
+# dual variable at which the outer search stops, and the most values of the
+# dual variable evaluated for one cuboid pair (about twice the most any pair
+# was seen to need with no cap).
 _NEWTON_CAP = 100
 _LAMBDA_TOL = 1e-13
+_DUAL_CAP = 128
 # Relative size below which the dual's slope counts as zero.
 _SLOPE_TOL = 1e-13
 # Search range for ln(nu) beyond the curve's bends; past it the minimiser
@@ -260,8 +263,8 @@ class _Term:
         return s
 
 
-def _pair_dual(k1: float, k2: float, terms: Sequence[_Term],
-               budget: int) -> tuple[float, list[list[float]], int]:
+def _pair_dual(k1: float, k2: float,
+               terms: Sequence[_Term]) -> tuple[float, list[list[float]], int]:
     """Maximise one cuboid pair's dual ``g(l)`` over ``l`` in [0, 1].
 
     ``g(l) = l*k1 + (1-l)*k2 + sum h(l)`` is concave, and its slope at
@@ -271,7 +274,8 @@ def _pair_dual(k1: float, k2: float, terms: Sequence[_Term],
     secant (Illinois) search over the continuous part.  Returns the largest
     certified ``g``, the per-term fractions of a primal point mixed from
     the bracket ends so that both sides balance, and the number of ``l``
-    values evaluated.
+    values evaluated, at most ``_DUAL_CAP``; a search cut there still
+    returns a certified ``g``.
     """
     steps = 0
     best = -math.inf
@@ -307,7 +311,7 @@ def _pair_dual(k1: float, k2: float, terms: Sequence[_Term],
     lam_lo, lam_hi = 0.0, 1.0
     jumps = sorted({t.lo for t in terms if t.lo == t.hi and 0.0 < t.lo < 1.0})
     i, j = 0, len(jumps)
-    while i < j and steps < budget:
+    while i < j and steps < _DUAL_CAP:
         m = (i + j) // 2
         left = state(jumps[m], -1)
         if left[0] <= 0:
@@ -326,7 +330,7 @@ def _pair_dual(k1: float, k2: float, terms: Sequence[_Term],
         lam_hi = min(lam_hi, max(t.hi for t in curved))
     f_lo, f_hi = low[0], high[0]
     last = 0
-    while f_hi < 0 and lam_hi - lam_lo > _LAMBDA_TOL and steps < budget:
+    while f_hi < 0 and lam_hi - lam_lo > _LAMBDA_TOL and steps < _DUAL_CAP:
         lam = lam_lo + (lam_hi - lam_lo) * f_lo / (f_lo - f_hi)
         if not lam_lo < lam < lam_hi:
             lam = 0.5 * (lam_lo + lam_hi)
@@ -345,8 +349,7 @@ def _pair_dual(k1: float, k2: float, terms: Sequence[_Term],
 
 
 def height_of_intersection(c1: "Concept", c2: "Concept",
-                           tol: float = DEFAULT_TOL,
-                           max_iter: int = DEFAULT_MAX_ITER) -> HeightResult:
+                           tol: float = DEFAULT_TOL) -> HeightResult:
     """Largest membership level at which two concepts' level sets meet.
 
     Equals the supremum over the space of the pointwise minimum of the two
@@ -366,9 +369,9 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
     relative margin.  That pair and all later ones have heights of at most
     ``exp(-floor) < value``, so they cannot beat the value attained and
     the bound stays certified.  Ties go to the pair that comes first in
-    row order, as in a search over all pairs.  ``max_iter`` caps the dual
-    values evaluated, split evenly over all the cuboid pairs (at least two
-    per pair), skipped ones included.
+    row order, as in a search over all pairs.  Each solved pair evaluates
+    at most ``_DUAL_CAP`` values of its dual variable; a pair cut there
+    still gives a certified bound.  ``tol`` sets only ``converged``.
     """
     if c1.space != c2.space:
         raise ValidationError("concepts belong to different spaces")
@@ -390,14 +393,12 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
 
     m1 = c1.weights.metric(space)
     m2 = c2.weights.metric(space)
-    ends = m1.starts.tolist()[1:] + [space.n]
     domains = [(slice(start, stop), c1.decay * w1, c2.decay * w2)
-               for start, stop, w1, w2 in zip(m1.starts.tolist(), ends,
-                                              m1.wdom.tolist(), m2.wdom.tolist())
+               for (start, stop), w1, w2 in zip(m1._spans, m1.wdom.tolist(),
+                                                m2.wdom.tolist())
                if w1 > 0 and w2 > 0]
     k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
-    floors = _pair_floors(c1, c2, deltas)
-    budget = max(2, max_iter // len(deltas))
+    floors = _pair_floors(c1, c2, m1, m2, k1, k2, deltas)
     min_dual = math.inf
     value, witness, best = -math.inf, None, -1
     limit = math.inf
@@ -408,7 +409,7 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
         pa, delta = points[row], deltas[row]
         terms = [_Term(span, da, db, m1.wdim[span], m2.wdim[span], delta[span])
                  for span, da, db in domains if delta[span].any()]
-        dual, fracs, steps = _pair_dual(k1, k2, terms, budget)
+        dual, fracs, steps = _pair_dual(k1, k2, terms)
         total += steps
         min_dual = min(min_dual, dual)
         f = np.zeros(space.n)
@@ -428,26 +429,24 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
                         bound=bound)
 
 
-def _pair_floors(c1: "Concept", c2: "Concept",
-                 deltas: np.ndarray) -> np.ndarray:
+def _pair_floors(c1: "Concept", c2: "Concept", m1: Metric, m2: Metric,
+                 k1: float, k2: float, deltas: np.ndarray) -> np.ndarray:
     """Certified lower bound on ``-ln`` of every cuboid pair's height.
 
     ``deltas`` holds the gaps between the pairs' nearest points, one row
-    per pair, for cores that do not touch.  A gap is nonzero only on the
-    domains that both cores own, which both weights measure.  Write ``d1``
-    for the first concept's distance and ``kappa`` for the smallest ratio,
-    over those domains, of the second concept's axis rates to the first's.
-    Then ``f2 >= k2 + c2 * kappa * d1(x, C_j)`` with ``k = -ln(peak)`` and
-    ``c`` the decay, and ``d1(x, C_i) + d1(x, C_j) >= d1(gap)``, so
+    per pair, for cores that do not touch, and ``m1``, ``m2`` and ``k1``,
+    ``k2`` are the concepts' metrics and ``-ln(peak)``.  A gap is nonzero
+    only on the domains that both cores own, which both weights measure.
+    Write ``d1`` for the first concept's distance and ``kappa`` for the
+    smallest ratio, over those domains, of the second concept's axis rates
+    to the first's.  Then ``f2 >= k2 + c2 * kappa * d1(x, C_j)`` with ``c``
+    the decay, and ``d1(x, C_i) + d1(x, C_j) >= d1(gap)``, so
     ``max(f1, f2)`` is at least the balance point ``(A*B*D + B*k1 + A*k2)
     / (A + B)`` with ``(A, B, D) = (c1, c2 * kappa, d1(gap))``.  The same
     holds with the roles of the metrics swapped, and the larger of the two
     is kept, as is ``max(k1, k2)``.  When the weights are the same,
     ``kappa == 1`` and the floor is the pair's exact ``-ln`` height.
     """
-    space = c1.space
-    m1, m2 = c1.weights.metric(space), c2.weights.metric(space)
-    k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
     r1, r2 = m1.axis_rates(), m2.axis_rates()
     measured = (r1 > 0) & (r2 > 0)
     r1, r2 = r1[measured], r2[measured]

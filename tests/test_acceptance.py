@@ -202,47 +202,43 @@ def _height_fixtures():
     """20 solver-vs-oracle cases, 1 to 4 dimensions, 1 to 3 cuboids."""
     fixtures = []
 
-    def add(c1, c2, bounds, step, expected=None):
-        fixtures.append((c1, c2, bounds, step, expected))
+    def add(c1, c2, step, expected=None):
+        fixtures.append((c1, c2, step, expected))
 
     # 1D pairs
-    add(_line(0, 1), _line(3, 4), {"x": (-3.0, 7.0)}, 1e-4, math.exp(-1.0))
-    add(_line(0, 0), _line(3, 3, decay=2.0), {"x": (-3.0, 5.0)}, 1e-4,
-        math.exp(-2.0))
-    add(_line(0, 2), _line(1, 3), {"x": (-3.0, 6.0)}, 1e-3, 1.0)
-    add(_line(0, 1, peak=0.8), _line(3, 4), {"x": (-3.0, 7.0)}, 1e-4,
+    add(_line(0, 1), _line(3, 4), 1e-4, math.exp(-1.0))
+    add(_line(0, 0), _line(3, 3, decay=2.0), 1e-4, math.exp(-2.0))
+    add(_line(0, 2), _line(1, 3), 1e-3, 1.0)
+    add(_line(0, 1, peak=0.8), _line(3, 4), 1e-4,
         math.exp(-1.0) * math.sqrt(0.8))
     add(Concept(box_core(LINE, [({"x": 0.0}, {"x": 1.2}),
                                 ({"x": 0.8}, {"x": 2.0})]),
                 1.0, 1.0, Weights.uniform(LINE)),
-        _line(4, 5), {"x": (-3.0, 8.0)}, 1e-4, math.exp(-1.0))
-    add(_line(0, 2, peak=0.6), _line(1, 3, peak=0.9), {"x": (-2.0, 5.0)},
-        1e-3, 0.6)
-    add(_line(0, 1, peak=0.8), _line(3, 4, decay=2.0), {"x": (-3.0, 6.0)},
-        1e-4, None)
+        _line(4, 5), 1e-4, math.exp(-1.0))
+    add(_line(0, 2, peak=0.6), _line(1, 3, peak=0.9), 1e-3, 0.6)
+    add(_line(0, 1, peak=0.8), _line(3, 4, decay=2.0), 1e-4, None)
 
     # 2D pairs (two singleton domains unless stated otherwise)
     add(_plane_box([({"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 1.0})]),
         _plane_box([({"x": 2.0, "y": 0.0}, {"x": 3.0, "y": 1.0})]),
-        {"x": (-3.0, 6.0), "y": (-3.0, 4.0)}, 5e-3, math.exp(-0.5))
+        5e-3, math.exp(-0.5))
     euclid = Space((("pos", ("x", "y")),))
     w_e = Weights.uniform(euclid)
     add(Concept(box_core(euclid, [({"x": 0.0, "y": 0.0},
                                    {"x": 0.0, "y": 0.0})]), 1.0, 1.0, w_e),
         Concept(box_core(euclid, [({"x": 3.0, "y": 4.0},
                                    {"x": 3.0, "y": 4.0})]), 1.0, 1.0, w_e),
-        {"x": (-4.3, 7.3), "y": (-4.3, 8.3)}, 5e-3,
-        math.exp(-math.sqrt(12.5) / 2))
+        5e-3, math.exp(-math.sqrt(12.5) / 2))
     w_uneven = Weights.normalized({"width": 1.2, "height": 0.8},
                                   {"width": {"x": 1.0}, "height": {"y": 1.0}})
     add(_plane_box([({"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 1.0})], decay=0.5,
                    weights=w_uneven),
         _plane_box([({"x": 2.0, "y": 2.0}, {"x": 3.0, "y": 3.0})], decay=0.5,
                    weights=w_uneven),
-        {"x": (-5.0, 8.0), "y": (-7.6, 10.6)}, 1e-2, math.exp(-0.5))
+        1e-2, math.exp(-0.5))
     add(_plane_box([({"x": 0.0, "y": 0.0}, {"x": 0.0, "y": 0.0})]),
         _plane_box([({"x": 2.0, "y": 0.0}, {"x": 2.0, "y": 0.0})], decay=3.0),
-        {"x": (-3.0, 4.0), "y": (-3.0, 3.0)}, 5e-3, math.exp(-1.5))
+        5e-3, math.exp(-1.5))
     cross = box_core(PLANE, [
         ({"x": 0.0, "y": 1.5}, {"x": 4.0, "y": 2.5}),
         ({"x": 1.5, "y": 0.0}, {"x": 2.5, "y": 4.0}),
@@ -250,14 +246,14 @@ def _height_fixtures():
     ])
     add(Concept(cross, 1.0, 0.5, Weights.uniform(PLANE)),
         _plane_box([({"x": 5.0, "y": 1.5}, {"x": 6.0, "y": 2.5})], decay=0.5),
-        {"x": (-6.0, 12.0), "y": (-6.0, 10.0)}, 1e-2, math.exp(-0.25))
+        1e-2, math.exp(-0.25))
     lshape = Concept(box_core(PLANE, [({"x": 0.0, "y": 0.0},
                                        {"x": 1.0, "y": 3.0}),
                                       ({"x": 0.0, "y": 0.0},
                                        {"x": 3.0, "y": 1.0})]),
                      1.0, 1.0, Weights.uniform(PLANE))
     add(lshape, _plane_box([({"x": 4.0, "y": 0.0}, {"x": 5.0, "y": 1.0})]),
-        {"x": (-3.0, 8.0), "y": (-3.0, 6.0)}, 5e-3, math.exp(-0.5))
+        5e-3, math.exp(-0.5))
     shifted_cross = box_core(PLANE, [
         ({"x": 7.0, "y": 1.5}, {"x": 11.0, "y": 2.5}),
         ({"x": 8.5, "y": 0.0}, {"x": 9.5, "y": 4.0}),
@@ -265,7 +261,7 @@ def _height_fixtures():
     ])
     add(Concept(cross, 1.0, 0.5, Weights.uniform(PLANE)),
         Concept(shifted_cross, 1.0, 0.5, Weights.uniform(PLANE)),
-        {"x": (-6.0, 17.0), "y": (-6.0, 10.0)}, 1e-2, math.exp(-0.75))
+        1e-2, math.exp(-0.75))
 
     # 3D pairs
     mixed = Space((("color", ("hue", "sat")), ("size", ("diam",))))
@@ -276,7 +272,6 @@ def _height_fixtures():
         Concept(Core((Cuboid.from_bounds(mixed, ["size"],
                                          {"diam": 5.0}, {"diam": 6.0}),)),
                 0.7, 2.0, Weights.uniform(mixed, ["size"])),
-        {"hue": (-4.3, 5.3), "sat": (-4.3, 5.3), "diam": (3.5, 7.5)},
         5e-2, 0.7)
     tri = Space((("blob", ("u", "v", "w")),))
     w_tri = Weights.uniform(tri)
@@ -286,8 +281,7 @@ def _height_fixtures():
         Concept(box_core(tri, [({"u": 1.2, "v": 1.2, "w": 1.2},
                                 {"u": 1.8, "v": 1.8, "w": 1.8})]),
                 1.0, 2.0, w_tri),
-        {"u": (-2.6, 4.4), "v": (-2.6, 4.4), "w": (-2.6, 4.4)}, 5e-2,
-        math.exp(-0.6))
+        5e-2, math.exp(-0.6))
     duo = Space((("plane", ("x", "y")), ("line", ("z",))))
     w_duo = Weights.uniform(duo)
     add(Concept(box_core(duo, [({"x": 0.0, "y": 0.0, "z": 0.0},
@@ -296,8 +290,7 @@ def _height_fixtures():
         Concept(box_core(duo, [({"x": 2.0, "y": 0.0, "z": 0.0},
                                 {"x": 3.0, "y": 1.0, "z": 0.5})]),
                 1.0, 1.0, w_duo),
-        {"x": (-4.3, 7.3), "y": (-4.3, 5.3), "z": (-3.0, 3.5)}, 5e-2,
-        math.exp(-math.sqrt(0.5) / 2))
+        5e-2, math.exp(-math.sqrt(0.5) / 2))
     trio = Space((("a", ("a1",)), ("b", ("b1",)), ("c", ("c1",))))
     w_trio = Weights({"a": 1.5, "b": 0.9, "c": 0.6},
                      {"a": {"a1": 1.0}, "b": {"b1": 1.0}, "c": {"c1": 1.0}})
@@ -307,8 +300,7 @@ def _height_fixtures():
         Concept(box_core(trio, [({"a1": 1.5, "b1": 0.5, "c1": 0.0},
                                  {"a1": 2.0, "b1": 1.5, "c1": 2.0})]),
                 1.0, 2.0, w_trio),
-        {"a1": (-1.0, 3.0), "b1": (-1.2, 3.2), "c1": (-2.5, 4.5)}, 5e-2,
-        math.exp(-0.75))
+        5e-2, math.exp(-0.75))
 
     # 4D pairs
     quad = Space((("q1", ("d1",)), ("q2", ("d2",)),
@@ -320,23 +312,33 @@ def _height_fixtures():
     hi_b = {f"d{i}": 1.5 for i in range(1, 5)}
     add(Concept(box_core(quad, [(lo_a, hi_a)]), 1.0, 1.0, w_quad),
         Concept(box_core(quad, [(lo_b, hi_b)]), 1.0, 1.0, w_quad),
-        {f"d{i}": (-3.0, 4.5) for i in range(1, 5)}, 0.25, math.exp(-1.0))
+        0.25, math.exp(-1.0))
     quad2 = Space((("left", ("d1", "d2")), ("right", ("d3", "d4"))))
     w_quad2 = Weights.uniform(quad2)
     add(Concept(box_core(quad2, [(lo_a, hi_a)]), 1.0, 1.0, w_quad2),
         Concept(box_core(quad2, [(lo_b, hi_b)]), 1.0, 1.0, w_quad2),
-        {f"d{i}": (-4.5, 6.0) for i in range(1, 5)}, 0.25, math.exp(-0.5))
+        0.25, math.exp(-0.5))
 
     assert len(fixtures) == 20
     return fixtures
 
 
+def _joint_box(c1, c2):
+    """The two cores' joint bounding box over their bounded dimensions."""
+    # Past the box every per-dimension gap only grows: the max-min is inside.
+    lo = np.vstack([c1.core.lo, c2.core.lo])
+    hi = np.vstack([c1.core.hi, c2.core.hi])
+    lo = np.where(np.isfinite(lo), lo, np.inf).min(axis=0)
+    hi = np.where(np.isfinite(hi), hi, -np.inf).max(axis=0)
+    return {d: (float(lo[i]), float(hi[i]))
+            for i, d in enumerate(c1.space.dim_names) if math.isfinite(lo[i])}
+
+
 def test_height_solver_matches_grid_oracle():
     with Timer(120.0) as timer:
-        for index, (c1, c2, bounds, step, expected) in enumerate(
-                _height_fixtures()):
+        for index, (c1, c2, step, expected) in enumerate(_height_fixtures()):
             result = height_of_intersection(c1, c2)
-            oracle = grid_oracle_max_min(c1, c2, bounds, step)
+            oracle = grid_oracle_max_min(c1, c2, _joint_box(c1, c2), step)
             assert abs(result.value - oracle) <= 1e-3, (
                 f"fixture {index}: solver {result.value} vs oracle {oracle}")
             if expected is not None:

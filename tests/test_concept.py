@@ -51,6 +51,13 @@ class TestMembership:
         assert fig_cross.membership(PLANE.point({"x": 0.1, "y": 2.0})) == 1.0
         assert fig_cross.membership(PLANE.point({"x": 2.0, "y": 3.9})) == 1.0
 
+    def test_far_point_underflows_to_zero(self):
+        # Membership lies in [0, peak]: exp(-1000) underflows to 0.
+        concept = line_concept(0.0, 1.0, decay=10.0)
+        far = LINE.point({"x": 101.0})
+        assert concept.membership(far) == 0.0
+        assert concept.membership_batch(far.array[None, :])[0] == 0.0
+
     def test_half_at_distance_ln2(self):
         concept = line_concept(0.0, 1.0)
         x = 1.0 + math.log(2.0)

@@ -10,8 +10,8 @@ from conceptspaces import (Concept, Core, Cuboid, LatticeSizeError, Space,
                            distance_to_cuboid, grid_oracle_max_min,
                            height_of_intersection, oracle_bounds)
 from conceptspaces.geometry import cores_intersect, nearest_point_pairs
-from conceptspaces.optimize import (DEFAULT_MAX_ITER, DEFAULT_TOL, _pair_dual,
-                                    _pair_floors, _Term)
+from conceptspaces.optimize import (DEFAULT_TOL, _pair_dual, _pair_floors,
+                                    _Term)
 from conftest import (LINE, PLANE, box_core, brute_min_distance, line_concept,
                       random_concept, random_space, random_weights, translated)
 
@@ -190,27 +190,7 @@ class TestHeightOfIntersection:
             assert sampled.max() <= res.bound * (1 + 1e-12)
 
     def test_mixed_weights_regression_fixture(self):
-        # One 2-D domain whose two concepts weight its dimensions
-        # differently: the optimum leaves the straight nearest-point segment.
-        space = Space((("a", ("a1", "a2")),))
-        first = Concept(box_core(space, [
-            ({"a1": -0.05802493977537493, "a2": -0.16322183447831717},
-             {"a1": 0.28372288403492607, "a2": 0.8612192821865905}),
-            ({"a1": 0.020102710463602125, "a2": -0.5184570492592775},
-             {"a1": 0.27688516947476594, "a2": 1.21671354334463}),
-        ]), 0.5279595521021805, 0.5949269951217153, Weights(
-            {"a": 1.0}, {"a": {"a1": 0.6610062459611749,
-                               "a2": 0.33899375403882515}}))
-        second = Concept(box_core(space, [
-            ({"a1": -2.5263007364801644, "a2": -2.643467130197015},
-             {"a1": -1.4054956597445334, "a2": -1.736864587322783}),
-            ({"a1": -2.4697318859381974, "a2": -2.802305129389894},
-             {"a1": -1.2400135448861045, "a2": -2.357318928507642}),
-            ({"a1": -2.5622904190990456, "a2": -3.3249353144148523},
-             {"a1": -1.505873722368524, "a2": -1.7651400049649513}),
-        ]), 0.8077081398963799, 1.0843087407273566, Weights(
-            {"a": 1.0}, {"a": {"a1": 0.3520047076459782,
-                               "a2": 0.6479952923540218}}))
+        first, second = _mixed_weights_pair()
         res = height_of_intersection(first, second)
         step = 4e-3
         window = {"a1": (-1.5, 0.0), "a2": (-2.0, -0.5)}   # holds the optimum
@@ -223,6 +203,31 @@ class TestHeightOfIntersection:
         assert res.converged and res.gap <= 1e-6
 
 
+def _mixed_weights_pair():
+    """One 2-D domain whose two concepts weight its dimensions differently:
+    the optimum leaves the straight nearest-point segment."""
+    space = Space((("a", ("a1", "a2")),))
+    first = Concept(box_core(space, [
+        ({"a1": -0.05802493977537493, "a2": -0.16322183447831717},
+         {"a1": 0.28372288403492607, "a2": 0.8612192821865905}),
+        ({"a1": 0.020102710463602125, "a2": -0.5184570492592775},
+         {"a1": 0.27688516947476594, "a2": 1.21671354334463}),
+    ]), 0.5279595521021805, 0.5949269951217153, Weights(
+        {"a": 1.0}, {"a": {"a1": 0.6610062459611749,
+                           "a2": 0.33899375403882515}}))
+    second = Concept(box_core(space, [
+        ({"a1": -2.5263007364801644, "a2": -2.643467130197015},
+         {"a1": -1.4054956597445334, "a2": -1.736864587322783}),
+        ({"a1": -2.4697318859381974, "a2": -2.802305129389894},
+         {"a1": -1.2400135448861045, "a2": -2.357318928507642}),
+        ({"a1": -2.5622904190990456, "a2": -3.3249353144148523},
+         {"a1": -1.505873722368524, "a2": -1.7651400049649513}),
+    ]), 0.8077081398963799, 1.0843087407273566, Weights(
+        {"a": 1.0}, {"a": {"a1": 0.3520047076459782,
+                           "a2": 0.6479952923540218}}))
+    return first, second
+
+
 def _pair_rows(c1, c2):
     """Nearest point of every cuboid pair on the first core, and the gap."""
     near1, near2 = nearest_point_pairs(c1.core, c2.core)
@@ -230,8 +235,9 @@ def _pair_rows(c1, c2):
     return points, near2.reshape(-1, c1.space.n) - points
 
 
-def _pair_duals(c1, c2, budget=DEFAULT_MAX_ITER):
-    """Every cuboid pair's certified dual and witness, in row order."""
+def _pair_duals(c1, c2):
+    """Every cuboid pair's certified dual and witness, in row order, each
+    pair's search capped at ``_DUAL_CAP`` evaluations as in the solver."""
     space = c1.space
     m1, m2 = c1.weights.metric(space), c2.weights.metric(space)
     k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
@@ -248,7 +254,7 @@ def _pair_duals(c1, c2, budget=DEFAULT_MAX_ITER):
                     span, c1.decay * c1.weights.domain_weights[name],
                     c2.decay * c2.weights.domain_weights[name],
                     m1.wdim[span], m2.wdim[span], delta[span]))
-        dual, fracs, _ = _pair_dual(k1, k2, terms, budget)
+        dual, fracs, _ = _pair_dual(k1, k2, terms)
         f = np.zeros(space.n)
         for term, frac in zip(terms, fracs):
             f[term.span] = frac
@@ -257,10 +263,9 @@ def _pair_duals(c1, c2, budget=DEFAULT_MAX_ITER):
     return duals, np.array(witnesses)
 
 
-def _exhaustive_height(c1, c2, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def _exhaustive_height(c1, c2, tol=DEFAULT_TOL):
     """The height solved on every cuboid pair, with no pair skipped."""
-    budget = max(2, max_iter // (len(c1.core.domains) * len(c2.core.domains)))
-    duals, witnesses = _pair_duals(c1, c2, budget)
+    duals, witnesses = _pair_duals(c1, c2)
     values = np.minimum(c1.membership_batch(witnesses),
                         c2.membership_batch(witnesses))
     best = int(np.argmax(values))
@@ -317,7 +322,9 @@ class TestBestFirstPairs:
     def test_floor_is_certified(self):
         rng = np.random.default_rng(37)
         for c1, c2 in _disjoint_pairs(rng, 120):
-            floors = _pair_floors(c1, c2, _pair_rows(c1, c2)[1])
+            m1, m2 = c1.weights.metric(c1.space), c2.weights.metric(c2.space)
+            floors = _pair_floors(c1, c2, m1, m2, -math.log(c1.peak),
+                                  -math.log(c2.peak), _pair_rows(c1, c2)[1])
             duals, _ = _pair_duals(c1, c2)
             for floor, dual in zip(floors.tolist(), duals):
                 if c1.weights is c2.weights:
@@ -347,6 +354,50 @@ class TestBestFirstPairs:
         assert len(a.core.domains) == len(b.core.domains) == 3
         assert res.iterations == alone.iterations > 0
         assert res.value == alone.value and res.converged
+
+    def test_large_cores_converge(self):
+        # Every solved pair gets the full per-pair cap however many pairs
+        # the cores make: 64 x 64 cuboids under differing weights.
+        rng = np.random.default_rng(38)
+        space = random_space(rng)
+        while len(space.domain_names) < 3:
+            space = random_space(rng)
+
+        def many(anchor):
+            cuboids = tuple(Cuboid(space, frozenset(space.domain_names),
+                                   tuple(anchor - rng.uniform(0.05, 1.0, space.n)),
+                                   tuple(anchor + rng.uniform(0.05, 1.0, space.n)))
+                            for _ in range(64))
+            return Concept(Core(cuboids), float(rng.uniform(0.5, 1.0)),
+                           float(rng.uniform(0.4, 2.5)),
+                           random_weights(rng, space))
+
+        anchor = rng.uniform(-2.0, 2.0, space.n)
+        offset = rng.normal(size=space.n)
+        c1 = many(anchor)
+        c2 = many(anchor + offset * (2.5 / np.abs(offset).max()))
+        assert not cores_intersect(c1.core, c2.core)
+        res = height_of_intersection(c1, c2)
+        value, bound, witness, converged = _exhaustive_height(c1, c2)
+        assert res.converged and converged
+        assert res.value == value
+        assert res.bound == bound
+        assert res.witness.coords == witness
+        assert c1.intersect(c2).peak == value
+
+    def test_capped_pair_keeps_certified_bound(self, monkeypatch):
+        # A pair cut at the cap still brackets the height it did not reach.
+        first, second = _mixed_weights_pair()
+        full = height_of_intersection(first, second)
+        assert full.converged
+        monkeypatch.setattr("conceptspaces.optimize._DUAL_CAP", 3)
+        capped = height_of_intersection(first, second)
+        pairs = len(first.core.domains) * len(second.core.domains)
+        assert 0 < capped.iterations <= 3 * pairs
+        assert not capped.converged and capped.gap > DEFAULT_TOL
+        assert capped.value <= full.value <= full.bound <= capped.bound
+        assert min(first.membership(capped.witness),
+                   second.membership(capped.witness)) == capped.value
 
 
 class TestGridOracle:
