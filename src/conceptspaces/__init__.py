@@ -16,8 +16,7 @@ from .concept import (ALPHA_FLOOR, CombinationParams, Concept,
                       subsethood_check)
 from .errors import (ConceptSpaceError, KbFormatError, LatticeSizeError,
                      UnknownNameError, UnrelatedConceptsError, ValidationError)
-from .geometry import (Core, Cuboid, central_region, cores_intersect,
-                       nearest_points, point_cuboid, repair)
+from .geometry import Core, Cuboid, cores_intersect, repair
 from .kb import Defaults, KnowledgeBase, concept_from_dict, concept_to_dict
 from .optimize import (HeightResult, alpha_cut_bbox, distance_to_cuboid,
                        grid_oracle_max_min, height_of_intersection,
@@ -48,7 +47,6 @@ __all__ = [
     "Weights",
     "alpha_cut_bbox",
     "between",
-    "central_region",
     "combine_adjective_noun",
     "combined_distance",
     "concept_from_dict",
@@ -58,9 +56,7 @@ __all__ = [
     "domain_distance",
     "grid_oracle_max_min",
     "height_of_intersection",
-    "nearest_points",
     "oracle_bounds",
-    "point_cuboid",
     "repair",
     "similarity",
     "subsethood_check",

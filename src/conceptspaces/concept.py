@@ -6,7 +6,8 @@ membership of a point is the peak times the exponentially decayed combined
 distance to the nearest core point.  Intersection, union, and subspace
 projection stay within this representation; intersection lowers the peak to
 the height of intersection and rebuilds the core from level-set bounding
-boxes when the crisp cores do not touch.
+boxes, rounded outward so that they meet at the height's witness, when the
+crisp cores do not touch.
 """
 
 from __future__ import annotations
@@ -106,10 +107,11 @@ class Concept:
         The new peak is the height of intersection.  When the crisp cores
         share a point it is the smaller peak and the cores are intersected
         directly; otherwise it is solved, each cuboid's level set at that
-        height is approximated by its exact bounding box and the boxes are
-        intersected, with repair.  The decay is the smaller of the two,
-        shared weights are blended, exclusive ones copied, and domain
-        weights renormalized.
+        height is approximated by its bounding box, rounded outward, and
+        the boxes are intersected, with repair.  Both concepts' boxes hold
+        the height's witness, so the result's core does too.  The decay is
+        the smaller of the two, shared weights are blended, exclusive ones
+        copied, and domain weights renormalized.
         """
         if cores_intersect(self.core, other.core):
             return _intersect_at(self, other, min(self.peak, other.peak),
@@ -270,9 +272,10 @@ def subsethood_check(sub: Concept, sup: Concept, sample_count: int = 10_000,
     boxes_near = []
     for concept in (sub, sup):
         core = concept.core
+        alpha = concept.peak * math.exp(-1.0)
         grown = optimize._alpha_cut_rows(
-            space, core.domain_set, core.lo, core.hi, concept.peak,
-            concept.decay, concept.weights, concept.peak * math.exp(-1.0))
+            space, core.lo, core.hi, concept.weights,
+            math.log(concept.peak / alpha) / concept.decay)
         boxes_near.extend(zip(*grown))
 
     third = max(1, sample_count // 3)

@@ -22,9 +22,11 @@ as given.
 Two cores are equal when their rows are: the same space, the same domain
 set per row, in order, and equal bounds (so ``-0.0`` equals ``0.0``), which
 is what comparing their cuboids gives.  Repair, the central region and the
-inner point each have one routine on bound arrays; the functions that take
-cuboids adapt to it.  Which dimensions a domain set owns is cached per
-space, so each cuboid's validation is a single pass over its bounds.
+inner point each have one routine on bound arrays; :func:`repair` adapts
+the first to cuboids.  A ``Cuboid`` holds one validated row; the library
+computes on rows, so cuboids carry no set operations of their own.  Which
+dimensions a domain set owns is cached per space, so each cuboid's
+validation is a single pass over its bounds.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .space import Point, Space, Weights
+from .space import Point, Space
 
 # Entries of a point-by-cuboid array evaluated at once, which bounds the
 # memory of a batch independently of its size.
@@ -106,12 +108,6 @@ class Cuboid:
         return cls(space, domains, tuple(lo), tuple(hi))
 
     @cached_property
-    def dim_names(self) -> tuple[str, ...]:
-        """Dimensions on which this cuboid is bounded, in space order."""
-        return tuple(compress(self.space.dim_names,
-                              self.space._owned(self.domains)))
-
-    @cached_property
     def lo(self) -> np.ndarray:
         arr = np.asarray(self.p_min, dtype=float)
         arr.flags.writeable = False
@@ -127,60 +123,13 @@ class Cuboid:
     def _reach(self) -> float:
         return _bound_reach(self.lo, self.hi)
 
-    def contains(self, x: Point) -> bool:
-        """Whether the point lies inside (boundary included)."""
-        arr = x.array
-        return bool(np.all((arr >= self.lo) & (arr <= self.hi)))
-
-    def contains_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized containment over rows of coordinates in space order."""
-        coords = np.asarray(coords, dtype=float)
-        return np.all((coords >= self.lo) & (coords <= self.hi), axis=-1)
-
-    def intersect(self, other: "Cuboid") -> "Cuboid | None":
-        """Coordinate-wise intersection; ``None`` when empty."""
-        if self.space != other.space:
-            raise ValidationError("cuboids belong to different spaces")
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return None
-        return Cuboid(self.space, self.domains | other.domains,
-                      tuple(lo), tuple(hi))
-
-    def project(self, domains: Iterable[str]) -> "Cuboid":
-        """Keep bounds on the given domains, reset the rest to unbounded."""
-        target = frozenset(domains)
-        if not target <= self.domains:
-            raise ValidationError(
-                f"projection target {sorted(target)} is not a subset of the "
-                f"cuboid's domains {sorted(self.domains)}")
-        keep = self.space._owned(target)
-        lo = tuple(v if k else -math.inf for v, k in zip(self.p_min, keep))
-        hi = tuple(v if k else math.inf for v, k in zip(self.p_max, keep))
-        return Cuboid(self.space, target, lo, hi)
-
-    def inner_point(self) -> np.ndarray:
-        """A deterministic finite point inside the cuboid."""
-        return _inner_point(self.lo, self.hi)
-
 
 def _inner_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """A deterministic finite point of the box ``[lo, hi]``.
-
-    The midpoint where both bounds are finite, the finite bound where only
-    one is, and 0 where neither is.
-    """
-    finite_lo = np.isfinite(lo)
-    finite_hi = np.isfinite(hi)
-    out = np.zeros(len(lo))
-    both = finite_lo & finite_hi
-    out[both] = 0.5 * (lo[both] + hi[both])
-    only_lo = finite_lo & ~finite_hi
-    out[only_lo] = lo[only_lo]
-    only_hi = finite_hi & ~finite_lo
-    out[only_hi] = hi[only_hi]
-    return out
+    """The midpoint of the box ``[lo, hi]`` of cuboid bounds, and 0 on the
+    dimensions it leaves unbounded: a cuboid bounds each dimension on both
+    sides or on neither."""
+    finite = np.isfinite(lo)
+    return 0.5 * (np.where(finite, lo, 0.0) + np.where(finite, hi, 0.0))
 
 
 def _bound_reach(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -193,34 +142,10 @@ def _bound_reach(lo: np.ndarray, hi: np.ndarray) -> float:
                      np.abs(hi[hi < np.inf]).max(initial=0.0)))
 
 
-def point_cuboid(space: Space, domains: Iterable[str],
-                 coords: Sequence[float]) -> Cuboid:
-    """Degenerate cuboid holding a single point on the given domains."""
-    domains = frozenset(domains)
-    owned = space._owned(domains)
-    lo = tuple(v if o else -math.inf for v, o in zip(coords, owned))
-    hi = tuple(v if o else math.inf for v, o in zip(coords, owned))
-    return Cuboid(space, domains, lo, hi)
-
-
 def _stack(cuboids: Sequence[Cuboid]) -> tuple[np.ndarray, np.ndarray]:
     """The cuboids' lower and upper bounds, one row each."""
     return (np.array([c.p_min for c in cuboids]),
             np.array([c.p_max for c in cuboids]))
-
-
-def central_region(cuboids: Sequence[Cuboid]) -> Cuboid | None:
-    """Common intersection of the cuboids; ``None`` when empty."""
-    if not cuboids:
-        raise ValidationError("need at least one cuboid")
-    space = cuboids[0].space
-    if any(c.space != space for c in cuboids[1:]):
-        raise ValidationError("cuboids belong to different spaces")
-    region = _central_rows(*_stack(cuboids))
-    if region is None:
-        return None
-    return Cuboid(space, frozenset().union(*(c.domains for c in cuboids)),
-                  region[0].tolist(), region[1].tolist())
 
 
 def _central_rows(lo: np.ndarray,
@@ -232,20 +157,16 @@ def _central_rows(lo: np.ndarray,
     return low, high
 
 
-def nearest_points(a: Cuboid, b: Cuboid) -> tuple[np.ndarray, np.ndarray]:
-    """A mutually nearest pair of points of two cuboids.
+def _facing_points(lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray,
+                   hi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A mutually nearest pair of points of two boxes, broadcasting over
+    boxes.
 
     Computed per dimension: the facing bounds where the intervals are
     disjoint, a shared finite coordinate where they overlap.  The result is
     nearest under any weighted combined metric because per-dimension gaps
     are independent.
     """
-    return _facing_points(a.lo, a.hi, b.lo, b.hi)
-
-
-def _facing_points(lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray,
-                   hi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`nearest_points` on bound arrays, broadcasting over boxes."""
     t = np.maximum(lo1, lo2)
     u = np.minimum(hi1, hi2)
     shared = np.clip(0.0, t, u)
@@ -373,8 +294,10 @@ class Core:
     first read; a core that a caller builds from cuboids keeps them as
     given (the library itself builds every core from rows).  The domain
     set is the union of the rows' domain sets; the central region is their
-    common intersection.  Construction fails when that intersection is
-    empty; use :func:`repair` first in that case.  Cores are immutable.
+    common intersection, whose midpoint is ``central_point``.  Construction
+    fails when that intersection is empty; use :func:`repair` first in that
+    case.  No core is empty, so intersecting two cores that share no point
+    fails too.  Cores are immutable.
     Two cores are equal, and hash equal, when their spaces, their rows'
     domain sets in order and their bounds are equal, as their cuboid tuples
     would be.
@@ -476,11 +399,6 @@ class Core:
                 np.ascontiguousarray(self.hi.T)[:, :, None])
 
     @cached_property
-    def central_region(self) -> Cuboid:
-        low, high = _central_rows(self.lo, self.hi)
-        return Cuboid(self.space, self.domain_set, low.tolist(), high.tolist())
-
-    @cached_property
     def central_point(self) -> Point:
         """Midpoint of the central region, the natural prototype location."""
         return Point(self.space,
@@ -510,13 +428,13 @@ class Core:
         """Pairwise cuboid intersection with repair.
 
         The non-empty pairwise intersections, in row-major order of the
-        pairs, come from one broadcast over the stacked bounds.  When every
-        pair is empty, the two mutually nearest points of the cores (under
-        uniform weights) seed the result as degenerate point cuboids.  Repair
-        runs whenever the survivors' central region is empty.  The result is
+        pairs, come from one broadcast over the stacked bounds.  Repair runs
+        whenever the survivors' central region is empty.  The result is
         canonical: survivors inside another survivor of the same domain set
         are dropped, which leaves the covered points and so every membership
-        unchanged.
+        unchanged.  Cores that share no point raise ``ValidationError``, as
+        there is no empty core; :meth:`Concept.intersect` grows disjoint
+        cores to level-set boxes that meet before intersecting them.
         """
         if self.space != other.space:
             raise ValidationError("cores belong to different spaces")
@@ -524,22 +442,17 @@ class Core:
         lo = np.maximum(self.lo[:, None], other.lo).reshape(-1, n)
         hi = np.minimum(self.hi[:, None], other.hi).reshape(-1, n)
         keep = np.flatnonzero(np.all(lo <= hi, axis=1))
-        if keep.size:
-            ia, ib = np.divmod(keep, len(other.domains))
-            # each distinct pair of domain sets is joined once
-            sets_a, code_a = _domain_codes(self.domains)
-            sets_b, code_b = _domain_codes(other.domains)
-            joined = [x | y for x in sets_a for y in sets_b]
-            pairs = code_a[ia] * len(sets_b) + code_b[ib]
-            domains = list(map(joined.__getitem__, pairs.tolist()))
-            return _core_of_rows(self.space, domains, lo[keep], hi[keep])
-        pa, pb = _nearest_between(self, other)
-        dom = self.domain_set | other.domain_set
-        owned = np.array(self.space._owned(dom))
-        points = np.stack([pa, pb])
-        return _core_of_rows(self.space, [dom, dom],
-                             np.where(owned, points, -np.inf),
-                             np.where(owned, points, np.inf))
+        if not keep.size:
+            raise ValidationError("the cores share no point, and a core "
+                                  "cannot be empty")
+        ia, ib = np.divmod(keep, len(other.domains))
+        # each distinct pair of domain sets is joined once
+        sets_a, code_a = _domain_codes(self.domains)
+        sets_b, code_b = _domain_codes(other.domains)
+        joined = [x | y for x in sets_a for y in sets_b]
+        pairs = code_a[ia] * len(sets_b) + code_b[ib]
+        domains = list(map(joined.__getitem__, pairs.tolist()))
+        return _core_of_rows(self.space, domains, lo[keep], hi[keep])
 
     def union(self, other: "Core") -> "Core":
         """Concatenate cuboids, repairing when the central regions miss.
@@ -586,14 +499,7 @@ def cores_intersect(a: Core, b: Core) -> bool:
 
 
 def nearest_point_pairs(a: Core, b: Core) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`nearest_points` of every cuboid pair, shape ``(ka, kb, n)``."""
+    """A mutually nearest point pair of every cuboid pair (see
+    :func:`_facing_points`), each of shape ``(ka, kb, n)``."""
     return _facing_points(a.lo[:, None], a.hi[:, None], b.lo, b.hi)
 
-
-def _nearest_between(a: Core, b: Core) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest point pair between two cores under uniform weights."""
-    weights = Weights.uniform(a.space, sorted(a.domain_set | b.domain_set))
-    pa, pb = nearest_point_pairs(a, b)
-    dist = weights.metric(a.space).distance(np.moveaxis(pb - pa, -1, 0))
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    return pa[i, j], pb[i, j]

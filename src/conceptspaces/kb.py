@@ -4,8 +4,9 @@ The file layout is versioned and deterministic (sorted keys, shortest
 round-trip floats), so repeated saves of the same knowledge base are
 byte-identical.  Unbounded cuboid sides are stored as explicit ``null``
 markers.  A save replaces the file atomically, so a crash leaves either the
-old or the new file whole.  Writing uses last-writer-wins semantics; there is
-no cross-process locking.
+old or the new file whole, and then flushes the directory where the
+platform can open one, so a save that returned survives a power loss.
+Writing uses last-writer-wins semantics; there is no cross-process locking.
 
 Top-level layout::
 
@@ -131,7 +132,9 @@ class KnowledgeBase:
 
         The text goes to a temporary file in the same directory, which is
         flushed to disk and then renamed over ``path``; a save that fails or
-        is interrupted leaves the previous file as it was.  An existing
+        is interrupted leaves the previous file as it was.  Where the
+        platform can open a directory, the directory is flushed after the
+        rename, so a finished save survives a power loss.  An existing
         file's permission bits carry over to the new one.
         """
         payload = kb_to_dict(self)
@@ -149,6 +152,13 @@ class KnowledgeBase:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        if hasattr(os, "O_DIRECTORY"):
+            # the rename is durable once the directory entry is on disk
+            fd = os.open(target.parent, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     @classmethod
     def load(cls, path: str | Path,

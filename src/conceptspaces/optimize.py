@@ -12,12 +12,15 @@ convex min-max, which separates by domain under the combined metric, and
 pairs are solved best first by a certified floor, so those that cannot
 beat the value already attained are skipped.  Each solved pair gets at
 most ``_DUAL_CAP`` evaluations of its dual.  The result comes with an
-attained value, a witness point and a certified upper bound.
+attained value, a witness point and a certified upper bound.  The boxes
+that intersection grows the cores to at that height are rounded outward, so
+they always hold the witness.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -86,35 +89,61 @@ def alpha_cut_bbox(cuboid: Cuboid, peak: float, decay: float,
     Every finite bound moves outward by ``r / (w_domain * sqrt(w_dim))``
     with ``r = ln(peak / alpha) / decay``: the cheapest way to gain combined
     distance ``r`` along a single dimension.  The box contains the true
-    level set and touches it on every face.
+    level set and touches it on every face, up to rounding to nearest;
+    intersection grows cores by the outward-rounded :func:`_alpha_cut_core`.
     """
-    lo, hi = _alpha_cut_rows(cuboid.space, cuboid.domains, cuboid.lo,
-                             cuboid.hi, peak, decay, weights, alpha)
-    return Cuboid(cuboid.space, cuboid.domains, tuple(lo), tuple(hi))
-
-
-def _alpha_cut_core(concept: "Concept", alpha: float) -> Core:
-    """Core of the :func:`alpha_cut_bbox` boxes of all the concept's rows."""
-    core = concept.core
-    lo, hi = _alpha_cut_rows(core.space, core.domain_set, core.lo, core.hi,
-                             concept.peak, concept.decay, concept.weights,
-                             alpha)
-    return Core._from_rows(core.space, core.domains, lo, hi)
-
-
-def _alpha_cut_rows(space: Space, domains: frozenset[str], lo: np.ndarray,
-                    hi: np.ndarray, peak: float, decay: float,
-                    weights: Weights, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`alpha_cut_bbox` on bound rows (or one row) owning ``domains``."""
     if not 0 < alpha <= peak:
         raise ValidationError(
             f"level {alpha!r} must be in (0, peak]; peak is {peak!r}")
     if not decay > 0:
         raise ValidationError("decay rate must be positive")
-    if not domains <= weights.domain_set:
-        missing = sorted(domains - weights.domain_set)
+    if not cuboid.domains <= weights.domain_set:
+        missing = sorted(cuboid.domains - weights.domain_set)
         raise ValidationError(f"weights do not cover domains {missing}")
-    r = math.log(peak / alpha) / decay
+    lo, hi = _alpha_cut_rows(cuboid.space, cuboid.lo, cuboid.hi, weights,
+                             math.log(peak / alpha) / decay)
+    return Cuboid(cuboid.space, cuboid.domains, tuple(lo), tuple(hi))
+
+
+def _alpha_cut_core(concept: "Concept", alpha: float) -> Core:
+    """The concept's rows grown to boxes of its level set at ``alpha`` and
+    rounded outward, so they hold every point whose computed membership
+    reaches ``alpha``: the radius is ``r = (ln(peak/alpha) + 4 eps) *
+    (1 + (n + 8) eps) / decay`` and each grown bound steps one float out.
+
+    Derivation, with ``eps`` the machine epsilon, rounded operations off by
+    ``eps/2`` and ``np.exp``/``math.log`` taken to be off by ``2 eps``.
+    Take ``x`` with computed membership ``m >= alpha``, and ``g`` its exact
+    gap to its nearest row under the computed distance ``D``.
+    ``exp`` (``2 eps``) and the product with ``peak`` (``eps/2``) give
+    ``decay*D <= ln(peak/alpha) + 2.5 eps``; rounding ``peak/alpha`` adds
+    ``eps/2``, within the absolute ``4 eps``, which is needed where ``m``
+    rounds to the peak: ``ln(peak/alpha)`` is 0 there, ``D`` is not.  The
+    metric rounds the gap, its square, the weight product, at most ``n - 1``
+    sums, the root and the domain weight product (and scales huge gaps);
+    all terms are non-negative, so ``D >= rate_j |g_j| (1 - (n+5) eps/2)``
+    on each dimension.  With ``decay*D`` (``eps/2``), the log (``2 eps``),
+    the sum, product and quotient forming ``r`` (``1.5 eps``), the axis
+    rate (``eps``) and the offset ``r/rate_j`` (``eps/2``) that is
+    ``(n/2 + 8) eps`` relative; the spare ``n/2`` covers second-order
+    terms.  So ``|g_j|`` is at most the offset, and the outward step covers
+    rounding ``lo - off`` and ``hi + off``.  The height's witness thus lies
+    in a grown row of each concept, and those two rows meet.
+    """
+    core = concept.core
+    eps = sys.float_info.epsilon
+    r = ((math.log(concept.peak / alpha) + 4 * eps)
+         * (1 + (core.space.n + 8) * eps) / concept.decay)
+    lo, hi = _alpha_cut_rows(core.space, core.lo, core.hi, concept.weights, r)
+    return Core._from_rows(core.space, core.domains, np.nextafter(lo, -np.inf),
+                           np.nextafter(hi, np.inf))
+
+
+def _alpha_cut_rows(space: Space, lo: np.ndarray, hi: np.ndarray,
+                    weights: Weights,
+                    r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bound rows (or one row) with every finite bound moved outward by
+    ``r`` over its dimension's axis rate, rounded to nearest."""
     off = np.divide(r, weights.metric(space).axis_rates(),
                     out=np.zeros(lo.shape), where=np.isfinite(lo))
     return lo - off, hi + off
@@ -125,11 +154,12 @@ class HeightResult:
     """Outcome of a height-of-intersection computation.
 
     ``value`` is the smaller of the two memberships at ``witness``, computed
-    with the library's metric, so the true height is at least ``value``.
+    with the library's metric, so the true height is at least ``value``;
+    the core of the two concepts' intersection holds ``witness``.
     ``bound`` is an upper bound on the true height from the Lagrangian dual,
     certified up to floating-point rounding, and ``gap`` is
-    ``bound - value``.  ``converged`` is true exactly when ``gap`` is within
-    the requested tolerance.  ``iterations`` counts the values of the dual
+    ``bound - value``.  ``converged`` is true exactly when ``gap`` is at most
+    ``DEFAULT_TOL``.  ``iterations`` counts the values of the dual
     variable evaluated over the cuboid pairs solved, at most ``_DUAL_CAP``
     per pair; pairs skipped because their floor rules them out add nothing.
     It is 0 when the cores touch and ``value`` is exact.
@@ -348,8 +378,7 @@ def _pair_dual(k1: float, k2: float,
     return best, mix(low, high), steps
 
 
-def height_of_intersection(c1: "Concept", c2: "Concept",
-                           tol: float = DEFAULT_TOL) -> HeightResult:
+def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
     """Largest membership level at which two concepts' level sets meet.
 
     Equals the supremum over the space of the pointwise minimum of the two
@@ -371,12 +400,11 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
     the bound stays certified.  Ties go to the pair that comes first in
     row order, as in a search over all pairs.  Each solved pair evaluates
     at most ``_DUAL_CAP`` values of its dual variable; a pair cut there
-    still gives a certified bound.  ``tol`` sets only ``converged``.
+    still gives a certified bound.  ``converged`` compares the gap with
+    ``DEFAULT_TOL``.
     """
     if c1.space != c2.space:
         raise ValidationError("concepts belong to different spaces")
-    if not tol > 0:
-        raise ValidationError("tolerance must be positive")
     space = c1.space
     near1, near2 = nearest_point_pairs(c1.core, c2.core)
     points = near1.reshape(-1, space.n)
@@ -425,8 +453,8 @@ def height_of_intersection(c1: "Concept", c2: "Concept",
                 limit = t + _FLOOR_MARGIN * (1.0 + t)
     bound = max(math.exp(-min_dual), value)
     return HeightResult(value, Point(space, tuple(witness.tolist())),
-                        iterations=total, converged=bound - value <= tol,
-                        bound=bound)
+                        iterations=total,
+                        converged=bound - value <= DEFAULT_TOL, bound=bound)
 
 
 def _pair_floors(c1: "Concept", c2: "Concept", m1: Metric, m2: Metric,

@@ -317,7 +317,8 @@ class Metric:
     """
 
     __slots__ = ("space", "starts", "domain_index", "wdom", "wdim", "domains",
-                 "_spans", "_covered", "_heads", "_folds", "_columns")
+                 "_spans", "_covered", "_heads", "_folds", "_columns",
+                 "_rates")
 
     def __init__(self, space: Space, weights: Weights):
         unknown = weights.domain_set - set(space.domain_names)
@@ -346,6 +347,9 @@ class Metric:
                 folds.append((start, start + 1))
         self._folds = tuple(folds)
         self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # weights are immutable, so the rates are computed once
+        self._rates = self.wdom[self.domain_index] * np.sqrt(self.wdim)
+        self._rates.flags.writeable = False
 
     def _weight_columns(self, ndim: int) -> tuple[np.ndarray, np.ndarray]:
         """``wdim`` and the covered domains' ``wdom`` shaped to broadcast
@@ -409,8 +413,9 @@ class Metric:
         return total
 
     def axis_rates(self) -> np.ndarray:
-        """Combined distance per unit of movement along each dimension alone."""
-        return self.wdom[self.domain_index] * np.sqrt(self.wdim)
+        """Combined distance per unit of movement along each dimension alone,
+        as a read-only array."""
+        return self._rates
 
 
 def _check_same_space(x: Point, y: Point) -> None:

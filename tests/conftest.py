@@ -97,6 +97,12 @@ def translated(concept: Concept, offset: np.ndarray) -> Concept:
     return Concept(Core(cuboids), concept.peak, concept.decay, concept.weights)
 
 
+def central_bounds(core: Core) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the core's central region, the common intersection of its
+    rows."""
+    return core.lo.max(axis=0), core.hi.min(axis=0)
+
+
 def sample_window(concept: Concept, margin: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
     """Box around the core, widened by ``margin / decay`` per dimension."""
     lo, hi = concept.core.bounding_box()

@@ -18,8 +18,8 @@ from conceptspaces import (CombinationParams, Concept, Core, Cuboid,
                            grid_oracle_max_min, height_of_intersection)
 from conceptspaces.cli import export_grid
 
-from conftest import (LINE, PLANE, between_points, box_core, line_concept,
-                      random_concept, random_weights, sample_window,
+from conftest import (LINE, PLANE, between_points, box_core, central_bounds,
+                      line_concept, random_concept, random_weights, sample_window,
                       translated, uniform_points)
 
 
@@ -90,9 +90,7 @@ def test_fuzzy_star_shapedness_of_random_concepts():
                                 400)
                  for c in concept.core.cuboids])
             values = concept.membership_batch(pool)
-            region = concept.core.central_region
-            reg_lo = np.asarray(region.p_min)
-            reg_hi = np.asarray(region.p_max)
+            reg_lo, reg_hi = central_bounds(concept.core)
             for alpha in (concept.peak, concept.peak / 2, concept.peak / 4):
                 members = pool[values >= alpha]
                 assert len(members) > 0

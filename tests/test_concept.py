@@ -13,7 +13,7 @@ from conceptspaces import (CombinationParams, Concept, Core, Cuboid, Point,
 from conceptspaces.concept import _intersect_at
 
 from conftest import (LINE, PLANE, between_points, box_core,
-                      brute_min_distance, line_concept, random_concept,
+                      brute_min_distance, central_bounds, line_concept, random_concept,
                       sample_window, uniform_points)
 
 MIXED = Space((("color", ("hue", "sat")), ("size", ("diam",))))
@@ -74,12 +74,11 @@ class TestMembership:
         lo, hi = sample_window(fig_cross)
         pool = uniform_points(rng, lo, hi, 6000)
         values = fig_cross.membership_batch(pool)
-        region = fig_cross.core.central_region
+        reg_lo, reg_hi = central_bounds(fig_cross.core)
         for alpha in (1.0, 0.5, 0.25):
             members = pool[values >= alpha]
             assert len(members) > 0
-            anchors = rng.uniform(region.p_min, region.p_max,
-                                  size=(len(members), 2))
+            anchors = rng.uniform(reg_lo, reg_hi, size=(len(members), 2))
             mids = between_points(rng, PLANE, anchors[0], members)
             mids_membership = fig_cross.membership_batch(mids)
             assert (mids_membership >= alpha - 1e-9).all()
@@ -446,9 +445,9 @@ class TestAdjectiveNoun:
         noun = self.build_noun(0.0, 1.0)
         got = combine_adjective_noun(prop, noun, threshold=0.5)
         assert got.peak == 1.0
-        region = got.core.central_region
+        reg_lo, reg_hi = central_bounds(got.core)
         hue = MIXED.index_of("hue")
-        assert region.p_min[hue] >= 0.2 and region.p_max[hue] <= 0.6
+        assert reg_lo[hue] >= 0.2 and reg_hi[hue] <= 0.6
 
     @pytest.mark.parametrize("hue", [(0.2, 0.6), (1.2, 1.5)])
     def test_compatible_pair_solves_the_height_once(self, monkeypatch, hue):
@@ -478,7 +477,7 @@ class TestAdjectiveNoun:
         inside_prop = prop.membership_batch(pts) >= 1.0
         assert proj.membership_batch(pts)[inside_prop].min() == 1.0
         # the noun's own hue region is gone from the core
-        assert got.core.central_region.p_min[MIXED.index_of("hue")] >= 10.0
+        assert central_bounds(got.core)[0][MIXED.index_of("hue")] >= 10.0
 
     def test_zero_threshold_always_intersects(self):
         prop = self.build_property(10.0, 11.0)
@@ -520,13 +519,12 @@ class TestFuzzyStarShapedness:
             lo, hi = sample_window(concept)
             pool = uniform_points(rng, lo, hi, 3000)
             values = concept.membership_batch(pool)
-            region = concept.core.central_region
+            center = concept.core.central_point.array
             for alpha in (concept.peak, concept.peak / 2, concept.peak / 4):
                 members = pool[values >= alpha]
                 if not len(members):
                     continue
-                anchor = rng.uniform(region.inner_point(),
-                                     region.inner_point())
+                anchor = rng.uniform(center, center)
                 mids = between_points(rng, space, anchor, members)
                 got = concept.membership_batch(mids)
                 assert (got >= alpha - 1e-9).all()

@@ -93,6 +93,21 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["kb.json"]
 
+    @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"),
+                        reason="the platform cannot open a directory")
+    def test_save_syncs_the_directory(self, kb, tmp_path, monkeypatch):
+        # the file is flushed before the rename, its directory after it
+        synced = []
+        fsync = os.fsync
+
+        def record(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        kb.save(tmp_path / "kb.json")
+        assert synced == [False, True]
+
     def test_save_keeps_permissions(self, kb, tmp_path):
         path = tmp_path / "kb.json"
         KnowledgeBase(PLANE).save(path)

@@ -195,3 +195,14 @@ def test_callers_keep_the_rescale_for_huge_coordinates():
         if slack > 0.0:
             assert not between(x, y, z, weights,
                                tol=math.nextafter(slack, -1.0))
+
+
+def test_axis_rates_are_computed_once_and_read_only():
+    weights = random_weights(np.random.default_rng(7), WIDE)
+    metric = weights.metric(WIDE)
+    rates = metric.axis_rates()
+    assert metric.axis_rates() is rates and not rates.flags.writeable
+    expect = [weights.domain_weights[WIDE.domain_of(d)]
+              * math.sqrt(weights.dim_weight(WIDE.domain_of(d), d))
+              for d in WIDE.dim_names]
+    np.testing.assert_array_max_ulp(rates, np.array(expect), 1)

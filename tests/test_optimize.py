@@ -10,7 +10,8 @@ from conceptspaces import (Concept, Core, Cuboid, LatticeSizeError, Space,
                            distance_to_cuboid, grid_oracle_max_min,
                            height_of_intersection, oracle_bounds)
 from conceptspaces.geometry import cores_intersect, nearest_point_pairs
-from conceptspaces.optimize import (DEFAULT_TOL, _pair_dual, _pair_floors,
+from conceptspaces.optimize import (DEFAULT_TOL, _alpha_cut_core, _pair_dual,
+                                    _pair_floors,
                                     _Term)
 from conftest import (LINE, PLANE, box_core, brute_min_distance, line_concept,
                       random_concept, random_space, random_weights, translated)
@@ -35,7 +36,7 @@ class TestDistanceToCuboid:
         w = Weights.uniform(PLANE)
         for _ in range(300):
             p = PLANE.point({"x": rng.uniform(-1, 1), "y": rng.uniform(-1, 2)})
-            assert (distance_to_cuboid(p, c, w) == 0.0) == c.contains(p)
+            assert (distance_to_cuboid(p, c, w) == 0.0) == Core((c,)).contains(p)
 
     def test_matches_lattice_oracle(self):
         rng = np.random.default_rng(32)
@@ -112,7 +113,7 @@ class TestAlphaCutBbox:
         box = alpha_cut_bbox(cub, 1.0, 0.8, w, alpha)
         pts = rng.uniform(-4, 5, size=(4000, 2))
         members = concept.membership_batch(pts) >= alpha
-        assert box.contains_batch(pts)[members].all()
+        assert Core((box,)).contains_batch(pts)[members].all()
 
     def test_unbounded_dimensions_stay_unbounded(self):
         space = Space((("a", ("a1",)), ("b", ("b1",))))
@@ -163,7 +164,8 @@ class TestHeightOfIntersection:
             res = height_of_intersection(c1, c2)
             for x in c1.core.cuboids:
                 for y in c2.core.cuboids:
-                    mid_arr = 0.5 * (x.inner_point() + y.inner_point())
+                    mid_arr = 0.5 * (Core((x,)).central_point.array
+                                     + Core((y,)).central_point.array)
                     mid = space.point(dict(zip(space.dim_names, mid_arr)))
                     bound = min(c1.membership(mid), c2.membership(mid))
                     assert res.value >= bound - 1e-12
@@ -177,7 +179,7 @@ class TestHeightOfIntersection:
             c1 = random_concept(rng, space)
             c2 = translated(random_concept(rng, space),
                              rng.uniform(-3.0, 3.0, space.n))
-            res = height_of_intersection(c1, c2, tol=1e-9)
+            res = height_of_intersection(c1, c2)
             assert res.value <= res.bound
             assert res.converged and res.gap <= 1e-9
             lo1, hi1 = c1.core.bounding_box()
@@ -263,7 +265,7 @@ def _pair_duals(c1, c2):
     return duals, np.array(witnesses)
 
 
-def _exhaustive_height(c1, c2, tol=DEFAULT_TOL):
+def _exhaustive_height(c1, c2):
     """The height solved on every cuboid pair, with no pair skipped."""
     duals, witnesses = _pair_duals(c1, c2)
     values = np.minimum(c1.membership_batch(witnesses),
@@ -271,7 +273,8 @@ def _exhaustive_height(c1, c2, tol=DEFAULT_TOL):
     best = int(np.argmax(values))
     value = float(values[best])
     bound = max(math.exp(-min(duals)), value)
-    return value, bound, tuple(witnesses[best].tolist()), bound - value <= tol
+    return (value, bound, tuple(witnesses[best].tolist()),
+            bound - value <= DEFAULT_TOL)
 
 
 def _property(rng, space, domain, weights=None):
@@ -398,6 +401,33 @@ class TestBestFirstPairs:
         assert capped.value <= full.value <= full.bound <= capped.bound
         assert min(first.membership(capped.witness),
                    second.membership(capped.witness)) == capped.value
+
+
+class TestIntersectionHoldsWitness:
+    """The α-cut boxes of disjoint cores are rounded outward, so the
+    intersection's core holds the point that attains its peak."""
+
+    def test_random_disjoint_pairs(self):
+        rng = np.random.default_rng(5)
+        for c1, c2 in _disjoint_pairs(rng, 300):
+            res = height_of_intersection(c1, c2)
+            got = c1.intersect(c2)
+            assert got.peak == res.value
+            assert got.core.contains(res.witness)
+
+    def test_tiny_gap(self):
+        # the height rounds to the peak, so ln(peak / alpha) is 0 although
+        # the witness lies outside both cores
+        a = line_concept(0.0, 1.0, decay=1e-3)
+        b = line_concept(1.0 + 1e-14, 2.0, decay=1e-3)
+        res = height_of_intersection(a, b)
+        assert res.value == 1.0
+        assert not a.core.contains(res.witness)
+        assert not b.core.contains(res.witness)
+        assert cores_intersect(_alpha_cut_core(a, res.value),
+                               _alpha_cut_core(b, res.value))
+        got = a.intersect(b)
+        assert got.peak == 1.0 and got.core.contains(res.witness)
 
 
 class TestGridOracle:
