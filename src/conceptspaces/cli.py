@@ -224,8 +224,7 @@ def _cmd_space_init(args) -> int:
     if path.exists() and not args.force:
         raise ValidationError(f"{path} already exists; use --force to replace")
     space = Space(tuple((name, tuple(dims)) for name, dims in args.domain))
-    defaults = Defaults(s=args.s, t=args.t, threshold=args.threshold,
-                        tolerance=args.tolerance)
+    defaults = Defaults(s=args.s, t=args.t, threshold=args.threshold)
     KnowledgeBase(space, {}, defaults).save(path)
     print(f"initialized {path}")
     return 0
@@ -339,7 +338,9 @@ def _cmd_export_grid(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _load_kb(args, auto_normalize=args.auto_normalize)
+    kb, _ = _load_kb(args, auto_normalize=args.auto_normalize)
+    for name in kb.concepts:
+        kb.get_concept(name)   # reading a concept checks it
     print("ok")
     return 0
 
@@ -374,9 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--t", type=_unit_float, default=Defaults.t)
     p_init.add_argument("--threshold", type=_unit_float,
                         default=Defaults.threshold)
-    p_init.add_argument("--tolerance", type=_positive_float,
-                        default=Defaults.tolerance,
-                        help="stored in the file; no command reads it")
     p_init.add_argument("--force", action="store_true",
                         help="replace an existing file")
     p_init.set_defaults(func=_cmd_space_init)

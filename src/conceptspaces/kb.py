@@ -1,32 +1,40 @@
 """Persistent knowledge base: a space plus named concepts in one JSON file.
 
-The file layout is versioned and deterministic (sorted keys, shortest
-round-trip floats), so repeated saves of the same knowledge base are
+The file layout is versioned and deterministic (sorted names and keys,
+shortest round-trip floats), so repeated saves of the same knowledge base are
 byte-identical.  Unbounded cuboid sides are stored as explicit ``null``
 markers.  A save replaces the file atomically, so a crash leaves either the
 old or the new file whole, and then flushes the directory where the
 platform can open one, so a save that returned survives a power loss.
-Writing uses last-writer-wins semantics; there is no cross-process locking.
+There is no cross-process locking, but a save to the file a knowledge base
+was loaded from fails if another writer changed that file in the meantime.
 
-Top-level layout::
+Layout: one header line, then one line per concept, sorted by name, each
+object's keys sorted::
 
-    {
-      "format_version": 1,
-      "space": {"domains": [{"name": ..., "dimensions": [...]}, ...]},
-      "defaults": {"s": ..., "t": ..., "threshold": ..., "tolerance": ...},
-      "concepts": {
-        "<name>": {
-          "cuboids": [{"domains": [...],
-                       "p_min": {"<dim>": number | null, ...},
-                       "p_max": {...}}],
-          "mu0": number, "c": number,
-          "weights": {"domains": {...}, "dimensions": {...}}
-        }
-      }
-    }
+    {"defaults": {"s": ..., "t": ..., "threshold": ...}, "format_version": 1, \\
+"space": {"domains": [{"dimensions": [...], "name": ...}, ...]},
+    "concepts": {
+    "<name>": {"c": number, "cuboids": [{"domains": [...], "p_max": {...}, \\
+"p_min": {"<dim>": number | null, ...}}], "mu0": number, \\
+"weights": {"dimensions": {...}, "domains": {...}}},
+    ...
+    }}
 
-``mu0`` and ``c`` are the stored names of a concept's peak membership and
-decay rate.
+(``\\`` marks where a line of the file is wrapped here.)  The whole file is
+one JSON document, so files with any other whitespace, such as the earlier
+``indent=2`` layout, load the same, and their next save rewrites them in
+this layout.  ``mu0`` and ``c`` are the stored names of a concept's peak
+membership and decay rate.  A ``defaults.tolerance`` key, which earlier
+versions wrote, is read and ignored.
+
+``load`` checks the version, the space, the defaults and the concept names;
+a concept entry decodes when the concept is first used.  So a malformed
+concept raises ``KbFormatError`` when it is read (``get_concept``, the
+values or items of ``concepts``, ``==``), not at load, and an entry that is
+never read is written back by ``save`` exactly as it was parsed, unknown
+keys and integer bounds included.  ``load(auto_normalize=True)`` decodes
+every concept at once.  ``cspaces validate`` reads every concept.
 
 Cuboid entries decode to a core's rows (a domain set and full-length
 bounds, ``-inf``/``+inf`` off the entry's domains); decoding checks only the
@@ -59,16 +67,11 @@ SUPPORTED_VERSIONS = frozenset({1})
 
 @dataclass(frozen=True)
 class Defaults:
-    """Knowledge-base-wide defaults for combination operations.
-
-    ``tolerance`` is kept so that every format-1 file loads and saves
-    byte-identically; no operation reads it any more.
-    """
+    """Knowledge-base-wide defaults for combination operations."""
 
     s: float = 0.5
     t: float = 0.5
     threshold: float = 0.5
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         for name in ("s", "t"):
@@ -77,12 +80,41 @@ class Defaults:
                 raise ValidationError(f"default {name} must lie in [0, 1]")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValidationError("default threshold must lie in [0, 1]")
-        if not self.tolerance > 0:
-            raise ValidationError("default tolerance must be positive")
 
     @property
     def combination(self) -> CombinationParams:
         return CombinationParams(self.s, self.t)
+
+
+class _Concepts(Mapping):
+    """Concepts by name; an entry parsed from a file decodes on first read.
+
+    ``entries`` maps each name to a ``Concept`` or to its parsed entry; a
+    read replaces the entry with its decoded concept.
+    """
+
+    def __init__(self, space: Space, entries: dict[str, Any]):
+        self._space = space
+        self._entries = entries
+
+    def __getitem__(self, name: str) -> Concept:
+        entry = self._entries[name]
+        if not isinstance(entry, Concept):
+            entry = self._entries[name] = concept_from_dict(
+                self._space, entry, f"concepts.{name}")
+        return entry
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __repr__(self) -> str:   # names only, so that it decodes nothing
+        return f"<concepts {list(self._entries)!r}>"
 
 
 @dataclass(frozen=True)
@@ -93,26 +125,34 @@ class KnowledgeBase:
     concepts: Mapping[str, Concept] = field(default_factory=dict)
     defaults: Defaults = field(default_factory=Defaults)
     format_version: int = FORMAT_VERSION
+    # the resolved path and the bytes ``load`` read, carried by every update
+    _source: tuple[Path, bytes] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "concepts", dict(self.concepts))
+        concepts = self.concepts
+        if not (isinstance(concepts, _Concepts)
+                and concepts._space == self.space):
+            concepts = dict(concepts)
+            for name, concept in concepts.items():
+                _check_concept(self.space, name, concept)
+            object.__setattr__(self, "concepts",
+                               _Concepts(self.space, concepts))
         if self.format_version not in SUPPORTED_VERSIONS:
             raise ValidationError(
                 f"unsupported format version {self.format_version}")
-        for name, concept in self.concepts.items():
-            if not name or not isinstance(name, str):
-                raise ValidationError("concept names must be non-empty strings")
-            if concept.space != self.space:
-                raise ValidationError(
-                    f"concept {name!r} belongs to a different space")
+
+    def _with(self, entries: dict[str, Any]) -> "KnowledgeBase":
+        kb = KnowledgeBase(self.space, _Concepts(self.space, entries),
+                           self.defaults, self.format_version)
+        object.__setattr__(kb, "_source", self._source)
+        return kb
 
     def add_concept(self, name: str, concept: Concept) -> "KnowledgeBase":
-        if not name:
-            raise ValidationError("concept names must be non-empty")
         if name in self.concepts:
             raise ValidationError(f"concept {name!r} already exists")
-        return KnowledgeBase(self.space, {**self.concepts, name: concept},
-                             self.defaults, self.format_version)
+        _check_concept(self.space, name, concept)
+        return self._with({**self.concepts._entries, name: concept})
 
     def get_concept(self, name: str) -> Concept:
         try:
@@ -123,35 +163,58 @@ class KnowledgeBase:
     def remove_concept(self, name: str) -> "KnowledgeBase":
         if name not in self.concepts:
             raise UnknownNameError(f"no concept named {name!r}")
-        remaining = {k: v for k, v in self.concepts.items() if k != name}
-        return KnowledgeBase(self.space, remaining, self.defaults,
-                             self.format_version)
+        return self._with({k: v for k, v in self.concepts._entries.items()
+                           if k != name})
 
     def save(self, path: str | Path) -> None:
         """Write the knowledge base deterministically to ``path``.
 
+        Every line goes through json's C encoder: concepts that were read
+        through ``concept_to_dict``, entries never read as they were parsed.
         The text goes to a temporary file in the same directory, which is
         flushed to disk and then renamed over ``path``; a save that fails or
         is interrupted leaves the previous file as it was.  Where the
         platform can open a directory, the directory is flushed after the
         rename, so a finished save survives a power loss.  An existing
         file's permission bits carry over to the new one.
+
+        When ``path`` is the file this knowledge base was loaded from, its
+        bytes are compared with those ``load`` read just before the rename;
+        if another writer changed or removed it, ``KbFormatError`` is raised
+        and the file is left as that writer left it.  A write that lands
+        between the compare and the rename is still lost.
         """
-        payload = kb_to_dict(self)
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+        d = self.defaults
+        head = encode({"format_version": self.format_version,
+                       "space": space_to_dict(self.space),
+                       "defaults": {"s": d.s, "t": d.t,
+                                    "threshold": d.threshold}})
+        lines = [f"\n{encode(name)}: " + encode(
+            concept_to_dict(entry) if isinstance(entry, Concept) else entry)
+            for name, entry in sorted(self.concepts._entries.items())]
+        text = head[:-1] + ',\n"concepts": {' + ",".join(lines) + "\n}}\n"
         target = Path(path).resolve()
+        loaded_here = self._source is not None and self._source[0] == target
         tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
         try:
             with open(tmp, "x", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
             if target.exists():
                 os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
+            if loaded_here and (not target.exists()
+                                or target.read_bytes() != self._source[1]):
+                raise KbFormatError(
+                    f"{target} changed on disk since it was loaded; not saved")
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        if loaded_here:
+            # a second save of this value compares with what the first wrote
+            object.__setattr__(self, "_source", (target, text.encode("utf-8")))
         if hasattr(os, "O_DIRECTORY"):
             # the rename is durable once the directory entry is on disk
             fd = os.open(target.parent, os.O_RDONLY | os.O_DIRECTORY)
@@ -163,22 +226,33 @@ class KnowledgeBase:
     @classmethod
     def load(cls, path: str | Path,
              auto_normalize: bool = False) -> "KnowledgeBase":
-        """Parse and fully validate a knowledge base file.
+        """Parse a knowledge base file and check everything but its concepts.
 
-        With ``auto_normalize`` set, weights whose sums are off are rescaled
-        to exact normalization; a warning names every rescaled concept.
+        Each concept entry is decoded, and checked, when it is first read.
+        With ``auto_normalize`` set, every concept is decoded here, and
+        weights whose sums are off are rescaled to exact normalization; a
+        warning names every rescaled concept.
         """
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            raw = Path(path).read_bytes()
         except OSError as exc:
             raise KbFormatError(f"cannot read {path}: {exc}") from exc
         try:
-            data = json.loads(text)
+            data = json.loads(raw.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise KbFormatError(
                 f"{path}: parse error at line {exc.lineno}, column "
                 f"{exc.colno}: {exc.msg}") from exc
-        return kb_from_dict(data, auto_normalize=auto_normalize)
+        kb = kb_from_dict(data, auto_normalize=auto_normalize)
+        object.__setattr__(kb, "_source", (Path(path).resolve(), raw))
+        return kb
+
+
+def _check_concept(space: Space, name: Any, concept: Concept) -> None:
+    if not name or not isinstance(name, str):
+        raise ValidationError("concept names must be non-empty strings")
+    if concept.space != space:
+        raise ValidationError(f"concept {name!r} belongs to a different space")
 
 
 def _expect_mapping(data: Any, path: str) -> Mapping[str, Any]:
@@ -347,22 +421,9 @@ def concept_from_dict(space: Space, data: Any, path: str = "concept",
         raise KbFormatError(f"{path}: {exc}") from exc
 
 
-def kb_to_dict(kb: KnowledgeBase) -> dict:
-    return {
-        "format_version": kb.format_version,
-        "space": space_to_dict(kb.space),
-        "defaults": {
-            "s": kb.defaults.s,
-            "t": kb.defaults.t,
-            "threshold": kb.defaults.threshold,
-            "tolerance": kb.defaults.tolerance,
-        },
-        "concepts": {name: concept_to_dict(c)
-                     for name, c in kb.concepts.items()},
-    }
-
-
 def kb_from_dict(data: Any, auto_normalize: bool = False) -> KnowledgeBase:
+    """A knowledge base whose concepts decode when first read, or at once
+    with ``auto_normalize``."""
     data = _expect_mapping(data, "$")
     version = data.get("format_version")
     if not isinstance(version, int) or isinstance(version, bool):
@@ -376,7 +437,7 @@ def kb_from_dict(data: Any, auto_normalize: bool = False) -> KnowledgeBase:
     raw_defaults = data.get("defaults", {})
     raw_defaults = _expect_mapping(raw_defaults, "defaults")
     kwargs = {}
-    for key in ("s", "t", "threshold", "tolerance"):
+    for key in ("s", "t", "threshold"):
         if key in raw_defaults:
             kwargs[key] = _expect_number(raw_defaults[key], f"defaults.{key}")
     try:
@@ -386,10 +447,11 @@ def kb_from_dict(data: Any, auto_normalize: bool = False) -> KnowledgeBase:
 
     raw_concepts = data.get("concepts", {})
     raw_concepts = _expect_mapping(raw_concepts, "concepts")
-    concepts = {}
-    for name, entry in raw_concepts.items():
+    entries = dict(raw_concepts)
+    for name, entry in entries.items():
         if not isinstance(name, str) or not name:
             raise KbFormatError("concepts: names must be non-empty strings")
-        concepts[name] = concept_from_dict(
-            space, entry, f"concepts.{name}", auto_normalize=auto_normalize)
-    return KnowledgeBase(space, concepts, defaults, version)
+        if auto_normalize:
+            entries[name] = concept_from_dict(
+                space, entry, f"concepts.{name}", auto_normalize=True)
+    return KnowledgeBase(space, _Concepts(space, entries), defaults, version)

@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import re
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conceptspaces.kb as kb_module
 from conceptspaces import (Concept, Core, Cuboid, KbFormatError,
                            KnowledgeBase, Space, UnknownNameError,
                            ValidationError, Weights)
@@ -147,11 +150,21 @@ class TestRoundTrip:
         assert math.isinf(twin.core.cuboids[0].p_min[2])
 
     def test_defaults_round_trip(self, tmp_path):
-        kb = KnowledgeBase(PLANE, {}, Defaults(s=0.3, t=0.7, threshold=0.6,
-                                               tolerance=1e-8))
+        kb = KnowledgeBase(PLANE, {}, Defaults(s=0.3, t=0.7, threshold=0.6))
         path = tmp_path / "kb.json"
         kb.save(path)
         assert KnowledgeBase.load(path).defaults == kb.defaults
+
+    def test_tolerance_is_read_and_dropped(self, tmp_path):
+        payload = minimal_payload()
+        payload["defaults"]["tolerance"] = 1e-8
+        path = write_payload(tmp_path, payload)
+        kb = KnowledgeBase.load(path)
+        assert kb.defaults == Defaults()
+        kb.save(path)
+        assert "tolerance" not in path.read_text()
+        assert json.loads(path.read_text())["defaults"] == {
+            "s": 0.5, "t": 0.5, "threshold": 0.5}
 
 
 def minimal_payload():
@@ -180,6 +193,18 @@ def write_payload(tmp_path, payload):
     return path
 
 
+def assert_fails_when_read(path, capsys, pattern):
+    """The file loads, but reading ``unit`` and ``cspaces validate`` fail
+    with a message matching ``pattern``."""
+    kb = KnowledgeBase.load(path)
+    with pytest.raises(KbFormatError, match=pattern):
+        kb.get_concept("unit")
+    assert main(["validate", "--kb", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("\n")
+    assert re.search(pattern, err[len("error: "):-1])
+
+
 class TestValidation:
     def test_minimal_payload_loads(self, tmp_path):
         kb = KnowledgeBase.load(write_payload(tmp_path, minimal_payload()))
@@ -197,13 +222,12 @@ class TestValidation:
         with pytest.raises(KbFormatError, match="not supported"):
             KnowledgeBase.load(write_payload(tmp_path, payload))
 
-    def test_unnormalized_domain_weights_rejected(self, tmp_path):
+    def test_unnormalized_domain_weights_rejected(self, tmp_path, capsys):
         payload = minimal_payload()
         weights = payload["concepts"]["unit"]["weights"]
         weights["domains"] = {"width": 1.2, "height": 0.6}
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError, match="domain weights sum"):
-            KnowledgeBase.load(path)
+        assert_fails_when_read(path, capsys, "domain weights sum")
 
     def test_auto_normalize_rescales_with_warning(self, tmp_path):
         payload = minimal_payload()
@@ -216,63 +240,58 @@ class TestValidation:
         assert got["width"] == pytest.approx(2 * 1.2 / 1.8)
         assert got["height"] == pytest.approx(2 * 0.6 / 1.8)
 
-    def test_unknown_dimension_in_cuboid_names_it(self, tmp_path):
+    def test_unknown_dimension_in_cuboid_names_it(self, tmp_path, capsys):
         payload = minimal_payload()
         payload["concepts"]["unit"]["cuboids"][0]["p_min"]["wavelength"] = 0.0
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError, match="wavelength"):
-            KnowledgeBase.load(path)
+        assert_fails_when_read(path, capsys, "wavelength")
 
-    def test_missing_bound_names_dimension(self, tmp_path):
+    def test_missing_bound_names_dimension(self, tmp_path, capsys):
         payload = minimal_payload()
         del payload["concepts"]["unit"]["cuboids"][0]["p_min"]["y"]
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError,
-                           match=r"^concepts\.unit\.cuboids\[0\]: missing "
-                                 r"lower bound for \['y'\]$"):
-            KnowledgeBase.load(path)
+        assert_fails_when_read(path, capsys,
+                               r"^concepts\.unit\.cuboids\[0\]: missing "
+                               r"lower bound for \['y'\]$")
 
-    def test_null_bound_on_covered_dimension_rejected(self, tmp_path):
+    def test_null_bound_on_covered_dimension_rejected(self, tmp_path, capsys):
         payload = minimal_payload()
         payload["concepts"]["unit"]["cuboids"][0]["p_max"]["x"] = None
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError, match="'x'"):
-            KnowledgeBase.load(path)
+        assert_fails_when_read(path, capsys, "'x'")
 
-    def test_number_outside_the_cuboid_domains_names_it(self, tmp_path):
+    def test_number_outside_the_cuboid_domains_names_it(self, tmp_path,
+                                                        capsys):
         payload = minimal_payload()
         entry = payload["concepts"]["unit"]["cuboids"][0]
         entry["domains"] = ["width"]
         entry["p_max"]["y"] = None
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError,
-                           match=r"concepts\.unit\.cuboids\[0\]\.p_min: "
-                                 r"dimension 'y' lies outside"):
-            KnowledgeBase.load(path)
+        assert_fails_when_read(path, capsys,
+                               r"concepts\.unit\.cuboids\[0\]\.p_min: "
+                               r"dimension 'y' lies outside")
 
-    def test_lower_bound_above_upper_bound_names_the_dimension(self,
-                                                               tmp_path):
+    def test_lower_bound_above_upper_bound_names_the_dimension(
+            self, tmp_path, capsys):
         payload = minimal_payload()
         cuboids = payload["concepts"]["unit"]["cuboids"]
         cuboids.append({"domains": ["width", "height"],
                         "p_min": {"x": 0.5, "y": 0.9},
                         "p_max": {"x": 0.6, "y": 0.8}})
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError,
-                           match=r"^concepts\.unit: lower bound exceeds upper "
-                                 r"bound on dimension 'y'$"):
-            KnowledgeBase.load(path)
+        assert_fails_when_read(path, capsys,
+                               r"^concepts\.unit: lower bound exceeds upper "
+                               r"bound on dimension 'y'$")
 
-    def test_disjoint_entries_name_the_concept(self, tmp_path):
+    def test_disjoint_entries_name_the_concept(self, tmp_path, capsys):
         payload = minimal_payload()
         payload["concepts"]["unit"]["cuboids"].append(
             {"domains": ["width", "height"], "p_min": {"x": 2.0, "y": 2.0},
              "p_max": {"x": 3.0, "y": 3.0}})
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError,
-                           match=r"^concepts\.unit: cuboids have an empty "
-                                 r"common intersection"):
-            KnowledgeBase.load(path)
+        assert_fails_when_read(path, capsys,
+                               r"^concepts\.unit: cuboids have an empty "
+                               r"common intersection")
 
     def test_integer_bounds_come_out_as_floats(self, tmp_path):
         payload = minimal_payload()
@@ -292,12 +311,11 @@ class TestValidation:
         assert text == (tmp_path / "two.json").read_text()
         assert '"x": 1.0' in text
 
-    def test_error_messages_name_the_concept(self, tmp_path):
+    def test_error_messages_name_the_concept(self, tmp_path, capsys):
         payload = minimal_payload()
         payload["concepts"]["unit"]["mu0"] = 2.0
         path = write_payload(tmp_path, payload)
-        with pytest.raises(KbFormatError, match="concepts.unit"):
-            KnowledgeBase.load(path)
+        assert_fails_when_read(path, capsys, "concepts.unit")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(KbFormatError, match="cannot read"):
@@ -406,3 +424,147 @@ def test_kb_paths_build_no_cuboids(tmp_path, monkeypatch, capsys):
     assert shown.endswith("}\nok\n")
     assert json.loads(shown[:-len("ok\n")]) == concept_to_dict(
         kb.get_concept("union"))
+
+
+# ---------------------------------------------------------------------------
+# decoding on first use, the line-per-concept layout, concurrent writers
+
+def _line_kb_file(tmp_path) -> Path:
+    concepts = {"a": line_concept(0, 1), "b": line_concept(3, 4),
+                "c": line_concept(0.5, 2, peak=0.8),
+                "d": line_concept(5, 6, decay=2.0)}
+    path = tmp_path / "kb.json"
+    KnowledgeBase(LINE, concepts).save(path)
+    return path
+
+
+def test_commands_decode_only_the_concepts_they_read(tmp_path, monkeypatch,
+                                                     capsys):
+    path = _line_kb_file(tmp_path)
+    decoded = []
+    decode = kb_module.concept_from_dict
+
+    def counting(space, data, path, *args, **kwargs):
+        decoded.append(path)
+        return decode(space, data, path, *args, **kwargs)
+
+    monkeypatch.setattr(kb_module, "concept_from_dict", counting)
+    for argv, want in ((["membership", "a", "--point", "x=2"], ["a"]),
+                       (["alpha-height", "a", "b"], ["a", "b"]),
+                       (["concept", "list"], []),
+                       (["validate"], ["a", "b", "c", "d"])):
+        decoded.clear()
+        assert main(argv + ["--kb", str(path)]) == 0
+        assert decoded == [f"concepts.{name}" for name in want]
+
+
+def test_malformed_concept_fails_only_where_it_is_read(tmp_path, capsys):
+    path = _line_kb_file(tmp_path)
+    membership = ["membership", "a", "--point", "x=2", "--kb", str(path)]
+    assert main(membership) == 0
+    want = capsys.readouterr().out
+    data = json.loads(path.read_text())
+    data["concepts"]["b"]["mu0"] = 2.0
+    path.write_text(json.dumps(data))
+    assert main(membership) == 0
+    assert capsys.readouterr().out == want
+    # a write to another concept keeps the entry as it was parsed
+    assert main(["concept", "rm", "c", "--kb", str(path)]) == 0
+    assert json.loads(path.read_text())["concepts"]["b"] == data["concepts"]["b"]
+    capsys.readouterr()
+    assert main(["validate", "--kb", str(path)]) == 1
+    assert "concepts.b" in capsys.readouterr().err
+    assert main(["membership", "b", "--kb", str(path)]) == 1
+
+
+def test_writes_leave_every_other_line_byte_identical(tmp_path, capsys):
+    path = _line_kb_file(tmp_path)
+    data = json.loads(path.read_text())
+    hand = {"cuboids": [{"domains": ["val"], "p_min": {"x": 7},
+                         "p_max": {"x": 8}}],
+            "mu0": 1, "c": 1, "note": "written by hand",
+            "weights": {"domains": {"val": 1}, "dimensions": {"x": 1}}}
+    data["concepts"]["hand"] = hand
+    path.write_text(json.dumps(data))
+    assert main(["concept", "rm", "d", "--kb", str(path)]) == 0
+    before = path.read_bytes()
+    lines = before.decode().splitlines()
+    assert lines[-2] == f'"hand": {json.dumps(hand, sort_keys=True)}'
+    kb = ["--kb", str(path)]
+    for argv in (["intersect", "a", "b", "--out", "tmp"],
+                 ["union", "a", "c", "--out", "tmp"],
+                 ["project", "a", "--domains", "val", "--out", "tmp"],
+                 ["concept", "add", "tmp", "--json", json.dumps(hand)]):
+        assert main(argv + kb) == 0
+        after = path.read_text().splitlines()
+        assert [line.rstrip(",") for line in after
+                if not line.startswith('"tmp": ')] == [
+            line.rstrip(",") for line in lines]
+        assert main(["concept", "rm", "tmp"] + kb) == 0
+        assert path.read_bytes() == before
+
+
+def test_layout_is_a_header_then_one_line_per_concept(tmp_path):
+    kb = _algebra_kb()
+    path = tmp_path / "kb.json"
+    kb.save(path)
+    text = path.read_text()
+    assert text.endswith("\n}}\n")
+    lines = text.splitlines()
+    assert lines[0] == json.dumps({
+        "format_version": 1, "space": {"domains": [
+            {"name": "color", "dimensions": ["hue", "sat"]},
+            {"name": "size", "dimensions": ["diam"]}]},
+        "defaults": {"s": 0.5, "t": 0.5, "threshold": 0.5}},
+        sort_keys=True)[:-1] + ","
+    assert lines[1] == '"concepts": {'
+    names = sorted(kb.concepts)
+    assert lines[2:-1] == [
+        f"{json.dumps(name)}: "
+        f"{json.dumps(concept_to_dict(kb.get_concept(name)), sort_keys=True)}"
+        + ("," if name != names[-1] else "") for name in names]
+
+
+def test_indented_layout_loads_and_saves_in_the_current_one(tmp_path):
+    kb = _algebra_kb()
+    path = tmp_path / "kb.json"
+    kb.save(path)
+    current = path.read_bytes()
+    data = json.loads(current)
+    data["defaults"]["tolerance"] = 1e-6
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    assert KnowledgeBase.load(path) == kb
+    KnowledgeBase.load(path).save(path)
+    assert path.read_bytes() == current
+
+
+def test_save_refuses_to_overwrite_a_concurrent_change(tmp_path, fig_cross,
+                                                       monkeypatch, capsys):
+    path = tmp_path / "kb.json"
+    KnowledgeBase(PLANE).add_concept("cross", fig_cross).save(path)
+    kb = KnowledgeBase.load(path)
+    path.write_bytes(path.read_bytes().replace(b'"s": 0.5', b'"s": 0.25'))
+    external = path.read_bytes()
+    with pytest.raises(KbFormatError, match=re.escape(str(path.resolve()))):
+        kb.add_concept("copy", fig_cross).save(path)
+    assert path.read_bytes() == external
+    assert [p.name for p in tmp_path.iterdir()] == ["kb.json"]
+    # a value saved twice to the file it came from compares with its own
+    # first save, and a save elsewhere compares nothing
+    fresh = KnowledgeBase.load(path).add_concept("copy", fig_cross)
+    fresh.save(path)
+    fresh.save(path)
+    kb.save(tmp_path / "other.json")
+
+    load = KnowledgeBase.load
+
+    def load_then_another_writer(path, auto_normalize=False):
+        loaded = load(path, auto_normalize)
+        Path(path).write_bytes(external)
+        return loaded
+
+    monkeypatch.setattr(KnowledgeBase, "load",
+                        staticmethod(load_then_another_writer))
+    assert main(["concept", "rm", "cross", "--kb", str(path)]) == 1
+    assert "changed on disk" in capsys.readouterr().err
+    assert path.read_bytes() == external
