@@ -20,7 +20,7 @@ import numpy as np
 
 from . import optimize
 from .errors import UnrelatedConceptsError, ValidationError
-from .geometry import Core, cores_intersect
+from .geometry import Core, _intersect_rows, cores_intersect
 from .space import Point, Space, Weights
 
 # Heights below this floor mean the concepts are effectively unrelated.
@@ -155,7 +155,13 @@ class Concept:
 def _intersect_at(a: Concept, b: Concept, alpha: float,
                   params: CombinationParams | None, touching: bool) -> Concept:
     """:meth:`Concept.intersect` at a known height, given whether the cores
-    share a point."""
+    share a point.
+
+    Touching cores are intersected as they are.  Disjoint ones are grown to
+    the rows of their α-cut boxes (:func:`optimize._alpha_cut_core`), and
+    those rows are intersected directly: only the result's rows are checked
+    and built into a core.
+    """
     params = params or CombinationParams()
     if alpha < ALPHA_FLOOR:
         raise UnrelatedConceptsError(
@@ -164,8 +170,10 @@ def _intersect_at(a: Concept, b: Concept, alpha: float,
     if touching:
         core = a.core.intersect(b.core)
     else:
-        core = optimize._alpha_cut_core(a, alpha).intersect(
-            optimize._alpha_cut_core(b, alpha))
+        core = _intersect_rows(a.space, a.core.domains,
+                               *optimize._alpha_cut_core(a, alpha),
+                               b.core.domains,
+                               *optimize._alpha_cut_core(b, alpha))
     weights = _combine_weights(a.weights, b.weights, core.domain_set, params)
     return Concept(core, alpha, min(a.decay, b.decay), weights)
 
@@ -322,10 +330,11 @@ def combine_adjective_noun(prop: Concept, noun: Concept,
     if prop_domain not in noun.core.domain_set:
         raise ValidationError(
             f"the concept does not cover the property's domain {prop_domain!r}")
-    height = optimize.height_of_intersection(prop, noun).value
-    if height >= threshold:
-        return _intersect_at(prop, noun, height, params,
-                             cores_intersect(prop.core, noun.core))
+    height = optimize.height_of_intersection(prop, noun)
+    if height.value >= threshold:
+        # no iteration exactly when the cores touch
+        return _intersect_at(prop, noun, height.value, params,
+                             height.iterations == 0)
     rest = noun.core.domain_set - {prop_domain}
     if not rest:
         # Nothing of the concept survives the replacement; the property is

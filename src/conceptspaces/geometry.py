@@ -163,17 +163,18 @@ def _facing_points(lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray,
     boxes.
 
     Computed per dimension: the facing bounds where the intervals are
-    disjoint, a shared finite coordinate where they overlap.  The result is
-    nearest under any weighted combined metric because per-dimension gaps
-    are independent.
+    disjoint, a shared finite coordinate (the one nearest 0) where they
+    overlap.  The result is nearest under any weighted combined metric
+    because per-dimension gaps are independent.
     """
     t = np.maximum(lo1, lo2)
     u = np.minimum(hi1, hi2)
-    shared = np.clip(0.0, t, u)
-    right = hi1 < lo2
-    left = hi2 < lo1
-    pa = np.where(right, hi1, np.where(left, lo1, shared))
-    pb = np.where(right, lo2, np.where(left, hi2, shared))
+    # the point of [t, u] nearest 0 where they overlap; where they do not,
+    # t > u and this is u, the upper bound of the lower interval
+    shared = np.minimum(np.maximum(0.0, t), u)
+    # t is the lower bound of the upper interval
+    pa = np.where(hi2 < lo1, t, shared)
+    pb = np.where(hi1 < lo2, t, shared)
     return pa, pb
 
 
@@ -231,6 +232,34 @@ def _core_of_rows(space: Space, domains: Sequence[frozenset[str]],
         domains = list(compress(domains, keep))
         lo, hi = lo[keep], hi[keep]
     return Core._from_rows(space, domains, lo, hi)
+
+
+def _intersect_rows(space: Space, domains_a: Sequence[frozenset[str]],
+                    lo_a: np.ndarray, hi_a: np.ndarray,
+                    domains_b: Sequence[frozenset[str]], lo_b: np.ndarray,
+                    hi_b: np.ndarray) -> "Core":
+    """:meth:`Core.intersect` of two sets of stacked bound rows.
+
+    Each row must be a valid cuboid row, as a core's rows and the α-cut
+    rows grown from them are; neither set needs a common point.  Only the
+    rows of the result are checked, as :meth:`Core._from_rows` checks
+    every core.
+    """
+    n = space.n
+    lo = np.maximum(lo_a[:, None], lo_b).reshape(-1, n)
+    hi = np.minimum(hi_a[:, None], hi_b).reshape(-1, n)
+    keep = np.flatnonzero(np.all(lo <= hi, axis=1))
+    if not keep.size:
+        raise ValidationError("the cores share no point, and a core "
+                              "cannot be empty")
+    ia, ib = np.divmod(keep, len(domains_b))
+    # each distinct pair of domain sets is joined once
+    sets_a, code_a = _domain_codes(domains_a)
+    sets_b, code_b = _domain_codes(domains_b)
+    joined = [x | y for x in sets_a for y in sets_b]
+    pairs = code_a[ia] * len(sets_b) + code_b[ib]
+    domains = list(map(joined.__getitem__, pairs.tolist()))
+    return _core_of_rows(space, domains, lo[keep], hi[keep])
 
 
 def _domain_codes(domains: Sequence[frozenset[str]]
@@ -438,21 +467,8 @@ class Core:
         """
         if self.space != other.space:
             raise ValidationError("cores belong to different spaces")
-        n = self.space.n
-        lo = np.maximum(self.lo[:, None], other.lo).reshape(-1, n)
-        hi = np.minimum(self.hi[:, None], other.hi).reshape(-1, n)
-        keep = np.flatnonzero(np.all(lo <= hi, axis=1))
-        if not keep.size:
-            raise ValidationError("the cores share no point, and a core "
-                                  "cannot be empty")
-        ia, ib = np.divmod(keep, len(other.domains))
-        # each distinct pair of domain sets is joined once
-        sets_a, code_a = _domain_codes(self.domains)
-        sets_b, code_b = _domain_codes(other.domains)
-        joined = [x | y for x in sets_a for y in sets_b]
-        pairs = code_a[ia] * len(sets_b) + code_b[ib]
-        domains = list(map(joined.__getitem__, pairs.tolist()))
-        return _core_of_rows(self.space, domains, lo[keep], hi[keep])
+        return _intersect_rows(self.space, self.domains, self.lo, self.hi,
+                               other.domains, other.lo, other.hi)
 
     def union(self, other: "Core") -> "Core":
         """Concatenate cuboids, repairing when the central regions miss.

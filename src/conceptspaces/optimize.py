@@ -14,7 +14,8 @@ beat the value already attained are skipped.  Each solved pair gets at
 most ``_DUAL_CAP`` evaluations of its dual.  The result comes with an
 attained value, a witness point and a certified upper bound.  The boxes
 that intersection grows the cores to at that height are rounded outward, so
-they always hold the witness.
+they always hold the witness, and intersection takes their bound rows as
+they are, without building cores of them.
 """
 
 from __future__ import annotations
@@ -105,11 +106,17 @@ def alpha_cut_bbox(cuboid: Cuboid, peak: float, decay: float,
     return Cuboid(cuboid.space, cuboid.domains, tuple(lo), tuple(hi))
 
 
-def _alpha_cut_core(concept: "Concept", alpha: float) -> Core:
-    """The concept's rows grown to boxes of its level set at ``alpha`` and
-    rounded outward, so they hold every point whose computed membership
-    reaches ``alpha``: the radius is ``r = (ln(peak/alpha) + 4 eps) *
-    (1 + (n + 8) eps) / decay`` and each grown bound steps one float out.
+def _alpha_cut_core(concept: "Concept",
+                    alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bound rows of the concept's core grown to boxes of its level set
+    at ``alpha`` and rounded outward, so they hold every point whose
+    computed membership reaches ``alpha``: the radius is ``r = (ln(peak /
+    alpha) + 4 eps) * (1 + (n + 8) eps) / decay``, each grown bound steps
+    one float out, and a grown bound beyond the largest finite float (at
+    the smallest decays) is clamped to it, which keeps every finite point
+    inside.  Returns the ``lo`` and ``hi`` rows, cuboid rows by
+    construction; :func:`geometry._intersect_rows` intersects them
+    without building a core of them.
 
     Derivation, with ``eps`` the machine epsilon, rounded operations off by
     ``eps/2`` and ``np.exp``/``math.log`` taken to be off by ``2 eps``.
@@ -135,17 +142,23 @@ def _alpha_cut_core(concept: "Concept", alpha: float) -> Core:
     r = ((math.log(concept.peak / alpha) + 4 * eps)
          * (1 + (core.space.n + 8) * eps) / concept.decay)
     lo, hi = _alpha_cut_rows(core.space, core.lo, core.hi, concept.weights, r)
-    return Core._from_rows(core.space, core.domains, np.nextafter(lo, -np.inf),
-                           np.nextafter(hi, np.inf))
+    # one float outward, but not past the largest finite float where the
+    # core bounds the dimension: a grown bound that overflowed to infinity
+    # steps back to it, and unbounded dimensions stay unbounded
+    top = sys.float_info.max
+    return (np.nextafter(lo, np.minimum(core.lo, -top)),
+            np.nextafter(hi, np.maximum(core.hi, top)))
 
 
 def _alpha_cut_rows(space: Space, lo: np.ndarray, hi: np.ndarray,
                     weights: Weights,
                     r: float) -> tuple[np.ndarray, np.ndarray]:
     """Bound rows (or one row) with every finite bound moved outward by
-    ``r`` over its dimension's axis rate, rounded to nearest."""
-    off = np.divide(r, weights.metric(space).axis_rates(),
-                    out=np.zeros(lo.shape), where=np.isfinite(lo))
+    ``r`` over its dimension's axis rate, rounded to nearest.  Infinite
+    bounds stay as they are; dimensions the weights do not measure have
+    no finite bound."""
+    off = np.array([r / rate if rate > 0 else 0.0
+                    for rate in weights.metric(space)._rate_floats])
     return lo - off, hi + off
 
 
@@ -157,12 +170,16 @@ class HeightResult:
     with the library's metric, so the true height is at least ``value``;
     the core of the two concepts' intersection holds ``witness``.
     ``bound`` is an upper bound on the true height from the Lagrangian dual,
-    certified up to floating-point rounding, and ``gap`` is
-    ``bound - value``.  ``converged`` is true exactly when ``gap`` is at most
-    ``DEFAULT_TOL``.  ``iterations`` counts the values of the dual
-    variable evaluated over the cuboid pairs solved, at most ``_DUAL_CAP``
-    per pair; pairs skipped because their floor rules them out add nothing.
-    It is 0 when the cores touch and ``value`` is exact.
+    certified up to floating-point rounding.  Every true height is
+    positive, so ``bound`` is at least the smallest positive float,
+    ``math.ulp(0.0)``, even where the dual's ``exp`` underflows to 0 (as
+    ``value`` may: cores 199 apart at decay 10 have height e**-995).
+    ``gap`` is ``bound - value``.  ``converged`` is true exactly when
+    ``gap`` is at most ``DEFAULT_TOL``.  ``iterations`` counts the values
+    of the dual variable evaluated over the cuboid pairs solved, at most
+    ``_DUAL_CAP`` per pair; pairs skipped because their floor rules them
+    out add nothing.  It is 0 exactly when the cores touch (every solved
+    pair evaluates at least once), and ``value`` is then exact.
     """
 
     value: float
@@ -217,18 +234,19 @@ class _Term:
         dd = delta * delta
         self.n_u = math.sqrt(float(u @ dd))
         self.n_v = math.sqrt(float(v @ dd))
-        ratio = (v / u)[dd > 0]
+        ul, vl, ddl = u.tolist(), v.tolist(), dd.tolist()
+        ratio = [y / x for x, y, d in zip(ul, vl, ddl) if d > 0]
+        low, high = min(ratio), max(ratio)
         edge = b * self.n_v / (a * self.n_u + b * self.n_v)
         self.lo = self.hi = edge
-        if ratio.min() < ratio.max():
+        if low < high:
             r0 = self.n_u / math.sqrt(float((u * u / v) @ dd))
             rinf = math.sqrt(float((v * v / u) @ dd)) / self.n_v
             lo, hi = r0 * b / (a + r0 * b), rinf * b / (a + rinf * b)
             if lo < hi:
                 self.lo, self.hi = lo, hi
-                self.u, self.v, self.dd = u.tolist(), v.tolist(), dd.tolist()
-                bend_lo = math.log(float(ratio.min()))
-                bend_hi = math.log(float(ratio.max()))
+                self.u, self.v, self.dd = ul, vl, ddl
+                bend_lo, bend_hi = math.log(low), math.log(high)
                 self.s = 0.5 * (bend_lo + bend_hi)
                 self.s_lo = bend_lo - _NU_MARGIN
                 self.s_hi = bend_hi + _NU_MARGIN
@@ -409,9 +427,10 @@ def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
     near1, near2 = nearest_point_pairs(c1.core, c2.core)
     points = near1.reshape(-1, space.n)
     deltas = near2.reshape(-1, space.n) - points
-    touching = np.flatnonzero(~deltas.any(axis=1))
-    if touching.size:
-        i, j = divmod(int(touching[0]), len(c2.core.domains))
+    apart = deltas.any(axis=1)
+    if not apart.all():
+        # the first pair of rows that meet, in row-major order
+        i, j = divmod(int(apart.argmin()), len(c2.core.domains))
         shared = _inner_point(np.maximum(c1.core.lo[i], c2.core.lo[j]),
                               np.minimum(c1.core.hi[i], c2.core.hi[j]))
         witness = Point(space, tuple(shared))
@@ -434,25 +453,30 @@ def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
     for row in np.argsort(floors, kind="stable").tolist():
         if floors[row] > limit:
             break
-        pa, delta = points[row], deltas[row]
+        delta = deltas[row]
+        gap = delta.tolist()
         terms = [_Term(span, da, db, m1.wdim[span], m2.wdim[span], delta[span])
-                 for span, da, db in domains if delta[span].any()]
+                 for span, da, db in domains if any(gap[span])]
         dual, fracs, steps = _pair_dual(k1, k2, terms)
         total += steps
         min_dual = min(min_dual, dual)
-        f = np.zeros(space.n)
+        f = [0.0] * space.n
         for term, frac in zip(terms, fracs):
             f[term.span] = frac
-        x = (pa + f * delta)[None]
-        attained = float(np.minimum(c1.membership_batch(x),
-                                    c2.membership_batch(x))[0])
+        x = [p + q * d for p, q, d in zip(points[row].tolist(), f, gap)]
+        # the smaller membership at x, as Concept.membership computes it
+        coords = np.array([x])
+        attained = float(min(
+            c.peak * np.exp(-c.decay * core_distance_batch(coords, c.core,
+                                                           c.weights)[0])
+            for c in (c1, c2)))
         if attained > value or (attained == value and row < best):
-            value, witness, best = attained, x[0], row
+            value, witness, best = attained, x, row
             if value > 0:
                 t = -math.log(value)
                 limit = t + _FLOOR_MARGIN * (1.0 + t)
-    bound = max(math.exp(-min_dual), value)
-    return HeightResult(value, Point(space, tuple(witness.tolist())),
+    bound = max(math.exp(-min_dual), value, math.ulp(0.0))
+    return HeightResult(value, Point(space, tuple(witness)),
                         iterations=total,
                         converged=bound - value <= DEFAULT_TOL, bound=bound)
 
@@ -475,15 +499,14 @@ def _pair_floors(c1: "Concept", c2: "Concept", m1: Metric, m2: Metric,
     is kept, as is ``max(k1, k2)``.  When the weights are the same,
     ``kappa == 1`` and the floor is the pair's exact ``-ln`` height.
     """
-    r1, r2 = m1.axis_rates(), m2.axis_rates()
-    measured = (r1 > 0) & (r2 > 0)
-    r1, r2 = r1[measured], r2[measured]
+    rates = [(x, y) for x, y in zip(m1._rate_floats, m2._rate_floats)
+             if x > 0 and y > 0]
     gaps = deltas.T
     reach = c1.core._reach + c2.core._reach
     floor = np.full(len(deltas), max(k1, k2))
-    for a, b, dist in ((c1.decay, c2.decay * float((r2 / r1).min()),
+    for a, b, dist in ((c1.decay, c2.decay * min(y / x for x, y in rates),
                         m1._distance(gaps, reach)),
-                       (c1.decay * float((r1 / r2).min()), c2.decay,
+                       (c1.decay * min(x / y for x, y in rates), c2.decay,
                         m2._distance(gaps, reach))):
         np.maximum(floor, (a * b * dist + b * k1 + a * k2) / (a + b),
                    out=floor)

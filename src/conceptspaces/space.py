@@ -318,7 +318,7 @@ class Metric:
 
     __slots__ = ("space", "starts", "domain_index", "wdom", "wdim", "domains",
                  "_spans", "_covered", "_heads", "_folds", "_columns",
-                 "_rates")
+                 "_rates", "_rate_floats")
 
     def __init__(self, space: Space, weights: Weights):
         unknown = weights.domain_set - set(space.domain_names)
@@ -347,9 +347,11 @@ class Metric:
                 folds.append((start, start + 1))
         self._folds = tuple(folds)
         self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # weights are immutable, so the rates are computed once
+        # weights are immutable, so the rates are computed once, as an
+        # array and as Python floats for scalar code
         self._rates = self.wdom[self.domain_index] * np.sqrt(self.wdim)
         self._rates.flags.writeable = False
+        self._rate_floats = tuple(self._rates.tolist())
 
     def _weight_columns(self, ndim: int) -> tuple[np.ndarray, np.ndarray]:
         """``wdim`` and the covered domains' ``wdom`` shaped to broadcast

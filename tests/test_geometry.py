@@ -11,7 +11,8 @@ from conceptspaces import (Concept, Core, Cuboid, Space, ValidationError,
                            Weights, between, cores_intersect, repair)
 from conceptspaces import geometry
 from conceptspaces.geometry import (_BLOCK_ENTRIES, _central_rows,
-                                    _maximal_rows, nearest_point_pairs)
+                                    _facing_points, _maximal_rows,
+                                    nearest_point_pairs)
 from conceptspaces.optimize import core_distance_batch
 
 from conftest import (LINE, PLANE, between_points, box_core, central_bounds,
@@ -196,6 +197,39 @@ def test_nearest_points_disjoint_and_overlapping():
     assert a[1] == b[1]
     a, b = nearest_point_pairs(plane_core(0, 0, 2, 2), plane_core(1, 1, 3, 3))
     assert np.array_equal(a, b)
+
+
+def _facing_reference(lo1, hi1, lo2, hi2):
+    """One dimension of ``_facing_points``, written out: the facing bounds
+    of disjoint intervals, else their shared coordinate nearest 0."""
+    if hi1 < lo2:
+        return hi1, lo2
+    if hi2 < lo1:
+        return lo1, hi2
+    shared = min(max(0.0, max(lo1, lo2)), min(hi1, hi2))
+    return shared, shared
+
+
+def test_facing_points_match_per_dimension_reference():
+    # bounds from a small set, so that touching endpoints, -0.0 against
+    # 0.0 and unbounded dimensions all occur many times
+    rng = np.random.default_rng(41)
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+    shape = (400, 2, 3)
+    ends = np.sort(rng.choice(values, size=shape + (2,)), axis=-1)
+    free = rng.random(shape) < 0.2
+    lo = np.where(free, -np.inf, ends[..., 0])
+    hi = np.where(free, np.inf, ends[..., 1])
+    pa, pb = _facing_points(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
+    want = np.array([_facing_reference(*bounds) for bounds in zip(
+        *(a.ravel().tolist() for a in (lo[:, 0], hi[:, 0], lo[:, 1],
+                                       hi[:, 1])))])
+    assert np.array_equal(pa.ravel(), want[:, 0])
+    assert np.array_equal(pb.ravel(), want[:, 1])
+    disjoint = (hi[:, 0] < lo[:, 1]) | (hi[:, 1] < lo[:, 0])
+    touching = (hi[:, 0] == lo[:, 1]) | (hi[:, 1] == lo[:, 0])
+    assert disjoint.any() and touching.any() and free.any()
+    assert (np.signbit(lo) & (lo == 0)).any()
 
 
 class TestCore:

@@ -206,3 +206,5 @@ def test_axis_rates_are_computed_once_and_read_only():
               * math.sqrt(weights.dim_weight(WIDE.domain_of(d), d))
               for d in WIDE.dim_names]
     np.testing.assert_array_max_ulp(rates, np.array(expect), 1)
+    # the Python floats that scalar code reads carry the same bits
+    assert metric._rate_floats == tuple(rates.tolist())

@@ -1,6 +1,7 @@
 """Numeric kernels: clamp distance, level-set boxes, height solver, oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from conceptspaces import (Concept, Core, Cuboid, LatticeSizeError, Space,
                            height_of_intersection, oracle_bounds)
 from conceptspaces.geometry import cores_intersect, nearest_point_pairs
 from conceptspaces.optimize import (DEFAULT_TOL, _alpha_cut_core, _pair_dual,
-                                    _pair_floors,
-                                    _Term)
+                                    _pair_floors, _Term)
 from conftest import (LINE, PLANE, box_core, brute_min_distance, line_concept,
                       random_concept, random_space, random_weights, translated)
 
@@ -424,10 +424,70 @@ class TestIntersectionHoldsWitness:
         assert res.value == 1.0
         assert not a.core.contains(res.witness)
         assert not b.core.contains(res.witness)
-        assert cores_intersect(_alpha_cut_core(a, res.value),
-                               _alpha_cut_core(b, res.value))
+        (lo_a, hi_a), (lo_b, hi_b) = (_alpha_cut_core(c, res.value)
+                                      for c in (a, b))
+        assert (np.maximum(lo_a, lo_b) <= np.minimum(hi_a, hi_b)).all()
         got = a.intersect(b)
         assert got.peak == 1.0 and got.core.contains(res.witness)
+
+    def test_smallest_decay(self):
+        # the radius overflows; the grown bounds stop at the largest float
+        a = line_concept(0.0, 1.0, decay=5e-324)
+        b = line_concept(3.0, 4.0, decay=5e-324)
+        res = height_of_intersection(a, b)
+        assert res.value == 1.0
+        lo, hi = _alpha_cut_core(a, res.value)
+        assert lo.tolist() == [[-sys.float_info.max]]
+        assert hi.tolist() == [[sys.float_info.max]]
+        got = a.intersect(b)
+        assert got.peak == 1.0 and got.core.contains(res.witness)
+
+
+class TestDisjointPath:
+    """What the disjoint-core path of the height and the intersection
+    relies on, pinned against the routes it replaced."""
+
+    def test_no_iterations_exactly_when_cores_touch(self):
+        rng = np.random.default_rng(8)
+        touching = 0
+        for _ in range(300):
+            space = random_space(rng)
+            c1 = random_concept(rng, space)
+            c2 = translated(random_concept(rng, space),
+                            rng.uniform(-3.0, 3.0, space.n))
+            meet = cores_intersect(c1.core, c2.core)
+            touching += meet
+            assert (height_of_intersection(c1, c2).iterations == 0) == meet
+        assert 50 < touching < 250
+
+    def test_value_is_the_smaller_membership_at_the_witness(self):
+        for c1, c2 in _disjoint_pairs(np.random.default_rng(9), 150):
+            res = height_of_intersection(c1, c2)
+            assert res.value == min(c1.membership(res.witness),
+                                    c2.membership(res.witness))
+
+    def test_intersection_equals_the_core_route(self):
+        # the grown rows built into cores and intersected as cores give
+        # the same bits as the rows intersected directly
+        for c1, c2 in _disjoint_pairs(np.random.default_rng(10), 150):
+            alpha = height_of_intersection(c1, c2).value
+            grown = [Core._from_rows(c.space, c.core.domains,
+                                     *_alpha_cut_core(c, alpha))
+                     for c in (c1, c2)]
+            want = grown[0].intersect(grown[1])
+            got = c1.intersect(c2).core
+            assert got.domains == want.domains
+            assert got.lo.tobytes() == want.lo.tobytes()
+            assert got.hi.tobytes() == want.hi.tobytes()
+
+    def test_bound_does_not_underflow(self):
+        # the true height e**-995 is positive, but below the smallest float
+        a = line_concept(0.0, 1.0, decay=10.0)
+        b = line_concept(200.0, 201.0, decay=10.0)
+        res = height_of_intersection(a, b)
+        assert res.value == 0.0
+        assert res.bound == math.ulp(0.0)
+        assert res.converged
 
 
 class TestGridOracle:
