@@ -2,8 +2,9 @@
 
 Every operation of the library is reachable as a subcommand over a JSON
 knowledge base file, plus a CSV grid export for reproducing membership
-plots.  Numeric output uses nine significant digits and identical inputs
-produce byte-identical output.
+plots on the grid oracle's lattice, which refuses more than
+``optimize.CELL_CAP`` cells before it allocates any.  Numeric output uses
+nine significant digits and identical inputs produce byte-identical output.
 
 Exit codes: 0 on success, 1 on domain errors (bad names, invalid files,
 failed validation), 2 on usage errors.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .concept import CombinationParams, Concept, combine_adjective_noun
-from .errors import ConceptSpaceError, LatticeSizeError, ValidationError
+from .errors import ConceptSpaceError, ValidationError
 from .kb import Defaults, KnowledgeBase, concept_from_dict, concept_to_dict
-from .optimize import DEFAULT_CELL_CAP, height_of_intersection
+from .optimize import _lattice_axes, height_of_intersection
 from .space import Point, Space
 
 KB_ENV = "CSPACES_KB"
@@ -72,18 +72,13 @@ class GridExport:
                 fh.write(f"{_fmt(v1)},{_fmt(v2)},{_fmt(row[j])}\n")
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
-
-
 def export_grid(concept: Concept, dims: tuple[str, str],
                 ranges: dict[str, tuple[float, float]], step: float,
-                slice_point: Point | None = None,
-                cell_cap: int = DEFAULT_CELL_CAP) -> GridExport:
+                slice_point: Point | None = None) -> GridExport:
     """Evaluate a concept's membership on a regular lattice over two dims.
 
-    All remaining dimensions are fixed by ``slice_point``, which defaults to
+    The lattice is the grid oracle's, :func:`optimize._lattice_axes`.  All
+    remaining dimensions are fixed by ``slice_point``, which defaults to
     the midpoint of the concept's central region.
     """
     space = concept.space
@@ -94,20 +89,10 @@ def export_grid(concept: Concept, dims: tuple[str, str],
         space.index_of(d)
         if d not in ranges:
             raise ValidationError(f"no range given for dimension {d!r}")
-    if not step > 0:
-        raise ValidationError("step must be positive")
-    for d in (d1, d2):
-        lo, hi = ranges[d]
-        if hi < lo:
-            raise ValidationError(f"empty range for dimension {d!r}")
+    ax1, ax2 = _lattice_axes({d1: ranges[d1], d2: ranges[d2]}, step)
     if slice_point is None:
         slice_point = concept.core.central_point
-    ax1 = _axis(*ranges[d1], step)
-    ax2 = _axis(*ranges[d2], step)
     total = len(ax1) * len(ax2)
-    if total > cell_cap:
-        raise LatticeSizeError(
-            f"lattice of {total} cells exceeds the cap of {cell_cap}")
     coords = np.tile(slice_point.array, (total, 1))
     coords[:, space.index_of(d1)] = np.repeat(ax1, len(ax2))
     coords[:, space.index_of(d2)] = np.tile(ax2, len(ax1))

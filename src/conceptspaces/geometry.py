@@ -12,21 +12,21 @@ members' bounds stacked as read-only ``(k, n)`` arrays.  Intersection, union
 and projection compute their results on those arrays (all cuboid pairs in
 one broadcast), drop duplicate rows, test and repair the central region and
 check the rows they keep in one vectorised pass.  The member ``Cuboid``
-objects are built only when ``Core.cuboids`` is first read.  Results are
+objects are built only when ``Core.cuboids`` is first read, also for a
+core built from cuboids, which keeps only their rows.  Results are
 canonical: no kept row lies inside another of the same domain set.  Such a
 row never sets the distance to the union, which is the minimum over the
 members, so memberships are unchanged; it would only cost work in every
-later operation.  Cores that callers build directly from cuboids keep them
-as given.
+later operation.
 
 Two cores are equal when their rows are: the same space, the same domain
 set per row, in order, and equal bounds (so ``-0.0`` equals ``0.0``), which
 is what comparing their cuboids gives.  Repair, the central region and the
 inner point each have one routine on bound arrays; :func:`repair` adapts
-the first to cuboids.  A ``Cuboid`` holds one validated row; the library
-computes on rows, so cuboids carry no set operations of their own.  Which
-dimensions a domain set owns is cached per space, so each cuboid's
-validation is a single pass over its bounds.
+the first to cuboids.  A ``Cuboid`` is a validated record of one row, for
+input and output only: no numeric code reads it.  Which dimensions a domain
+set owns is cached per space, so each cuboid's validation is a single pass
+over its bounds.
 """
 
 from __future__ import annotations
@@ -107,22 +107,6 @@ class Cuboid:
                 raise ValidationError(f"missing {side} bound for {missing}")
         return cls(space, domains, tuple(lo), tuple(hi))
 
-    @cached_property
-    def lo(self) -> np.ndarray:
-        arr = np.asarray(self.p_min, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def hi(self) -> np.ndarray:
-        arr = np.asarray(self.p_max, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def _reach(self) -> float:
-        return _bound_reach(self.lo, self.hi)
-
 
 def _inner_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The midpoint of the box ``[lo, hi]`` of cuboid bounds, and 0 on the
@@ -130,16 +114,6 @@ def _inner_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     sides or on neither."""
     finite = np.isfinite(lo)
     return 0.5 * (np.where(finite, lo, 0.0) + np.where(finite, hi, 0.0))
-
-
-def _bound_reach(lo: np.ndarray, hi: np.ndarray) -> float:
-    """Largest magnitude of the finite bounds.
-
-    A point's gap to the box, its clamped copy minus itself, is at most
-    this plus the point's largest coordinate magnitude.
-    """
-    return float(max(np.abs(lo[lo > -np.inf]).max(initial=0.0),
-                     np.abs(hi[hi < np.inf]).max(initial=0.0)))
 
 
 def _stack(cuboids: Sequence[Cuboid]) -> tuple[np.ndarray, np.ndarray]:
@@ -320,8 +294,8 @@ class Core:
     The state is the rows: ``domains`` holds one domain set per member, and
     ``lo``/``hi`` the members' bounds stacked as read-only ``(k, n)``
     arrays.  ``cuboids``, the member cuboids, are built from the rows when
-    first read; a core that a caller builds from cuboids keeps them as
-    given (the library itself builds every core from rows).  The domain
+    first read; a core built from cuboids keeps only their rows, so its
+    ``cuboids`` equal the given ones but are new objects.  The domain
     set is the union of the rows' domain sets; the central region is their
     common intersection, whose midpoint is ``central_point``.  Construction
     fails when that intersection is empty; use :func:`repair` first in that
@@ -348,7 +322,6 @@ class Core:
                 raise ValidationError("cuboids belong to different spaces")
         domains = tuple(c.domains for c in cubs)
         self._set_rows(space, domains, frozenset().union(*domains), *_stack(cubs))
-        self.__dict__["cuboids"] = cubs
 
     @classmethod
     def _from_rows(cls, space: Space, domains: Sequence[frozenset[str]],
@@ -408,7 +381,8 @@ class Core:
                      tuple(self.hi.ravel().tolist())))
 
     def __repr__(self):
-        return f"Core(cuboids={self.cuboids!r})"
+        return (f"Core(domains={[sorted(d) for d in self.domains]!r}, "
+                f"lo={self.lo.tolist()!r}, hi={self.hi.tolist()!r})")
 
     @cached_property
     def cuboids(self) -> tuple[Cuboid, ...]:
@@ -418,7 +392,12 @@ class Core:
 
     @cached_property
     def _reach(self) -> float:
-        return _bound_reach(self.lo, self.hi)
+        """Largest magnitude of the finite bounds: a point's gap to a row,
+        its clamped copy minus itself, is at most this plus the point's
+        largest coordinate magnitude."""
+        lo, hi = self.lo, self.hi
+        return float(max(np.abs(lo[lo > -np.inf]).max(initial=0.0),
+                         np.abs(hi[hi < np.inf]).max(initial=0.0)))
 
     @cached_property
     def _bounds_t(self) -> tuple[np.ndarray, np.ndarray]:

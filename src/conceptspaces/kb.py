@@ -39,7 +39,8 @@ every concept at once.  ``cspaces validate`` reads every concept.
 Cuboid entries decode to a core's rows (a domain set and full-length
 bounds, ``-inf``/``+inf`` off the entry's domains); decoding checks only the
 entries' format, and ``Core._from_rows`` checks the rows once per concept.
-Encoding writes from the same rows, so neither way builds a ``Cuboid``.
+Encoding writes from the same rows, a core's only state even when it was
+built from ``Cuboid`` objects, so neither way builds a ``Cuboid``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Any
 
 import numpy as np
 
-from .concept import CombinationParams, Concept
+from .concept import Concept
 from .errors import KbFormatError, UnknownNameError, ValidationError
 from .geometry import Core
 from .space import Space, Weights
@@ -80,10 +81,6 @@ class Defaults:
                 raise ValidationError(f"default {name} must lie in [0, 1]")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValidationError("default threshold must lie in [0, 1]")
-
-    @property
-    def combination(self) -> CombinationParams:
-        return CombinationParams(self.s, self.t)
 
 
 class _Concepts(Mapping):

@@ -1,21 +1,27 @@
 """Numeric algorithms over concepts.
 
-Exact distance from points to cuboids and cores via per-dimension clamping,
-the height of intersection of two fuzzy concepts (largest membership level at
-which their level sets still meet), and a brute-force lattice oracle used to
+Exact distance from points to cores via per-dimension clamping, the height
+of intersection of two fuzzy concepts (largest membership level at which
+their level sets still meet), and a brute-force lattice oracle used to
 cross-check it.  This module computes gaps, dimension-first as the compiled
 metric of :mod:`conceptspaces.space` takes them, and that metric turns them
 into distances; a point's distance to a core has the same bits whether it
-is asked for alone or in a batch of any size.  The height is the best
-over cuboid pairs; each pair is solved through the Lagrangian dual of the
-convex min-max, which separates by domain under the combined metric, and
-pairs are solved best first by a certified floor, so those that cannot
-beat the value already attained are skipped.  Each solved pair gets at
-most ``_DUAL_CAP`` evaluations of its dual.  The result comes with an
-attained value, a witness point and a certified upper bound.  The boxes
-that intersection grows the cores to at that height are rounded outward, so
-they always hold the witness, and intersection takes their bound rows as
-they are, without building cores of them.
+is asked for alone or in a batch of any size.
+
+The height is the best over cuboid pairs; each pair is solved through the
+Lagrangian dual of the convex min-max, which separates by domain under the
+combined metric, and pairs are solved best first by a certified floor, so
+those that cannot beat the value already attained are skipped.  A domain's
+gap too large to square is rescaled there, as the metric rescales it.  Each
+solved pair gets at most ``_DUAL_CAP`` evaluations of its dual.  The result
+comes with an attained value, a witness point and a certified upper bound.
+The boxes that intersection grows the cores to at that height are rounded
+outward, so they always hold the witness, and intersection takes their
+bound rows as they are, without building cores of them.
+
+Everything runs on a core's bound rows: :func:`distance_to_cuboid` and
+:func:`alpha_cut_bbox` adapt the row routines to one cuboid, and the grid
+oracle and ``cli.export_grid`` share one lattice, sized before it is built.
 """
 
 from __future__ import annotations
@@ -30,13 +36,16 @@ import numpy as np
 from .errors import LatticeSizeError, ValidationError
 from .geometry import (_BLOCK_ENTRIES, Core, Cuboid, _inner_point,
                        nearest_point_pairs)
-from .space import Metric, Point, Space, Weights
+from .space import _SQUARE_LIMIT, Metric, Point, Space, Weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .concept import Concept
 
 DEFAULT_TOL = 1e-6
-DEFAULT_CELL_CAP = 20_000_000
+# Most cells of a lattice (the grid oracle's, or an exported grid's).
+CELL_CAP = 20_000_000
+# Margin of the oracle's lattice beyond the cores, in units of 1 / decay.
+_ORACLE_MARGIN = 3.0
 
 
 def distance_to_cuboid(x: Point, cuboid: Cuboid, weights: Weights) -> float:
@@ -44,15 +53,17 @@ def distance_to_cuboid(x: Point, cuboid: Cuboid, weights: Weights) -> float:
 
     Clamping each coordinate into the cuboid's bounds yields the nearest
     point because the combined metric treats dimensions independently.
+    A cuboid with no domains bounds nothing and cannot form a core.
     """
     if x.space != cuboid.space:
         raise ValidationError("point and cuboid belong to different spaces")
     if not cuboid.domains <= weights.domain_set:
         missing = sorted(cuboid.domains - weights.domain_set)
         raise ValidationError(f"weights do not cover domains {missing}")
-    gap = np.minimum(np.maximum(x.array, cuboid.lo), cuboid.hi) - x.array
-    return float(weights.metric(x.space)._distance(gap,
-                                                   x._reach + cuboid._reach))
+    if not cuboid.domains:
+        return 0.0
+    return float(core_distance_batch(x.array[None], Core((cuboid,)),
+                                     weights)[0])
 
 
 def core_distance_batch(coords: np.ndarray, core: Core,
@@ -101,7 +112,8 @@ def alpha_cut_bbox(cuboid: Cuboid, peak: float, decay: float,
     if not cuboid.domains <= weights.domain_set:
         missing = sorted(cuboid.domains - weights.domain_set)
         raise ValidationError(f"weights do not cover domains {missing}")
-    lo, hi = _alpha_cut_rows(cuboid.space, cuboid.lo, cuboid.hi, weights,
+    lo, hi = _alpha_cut_rows(cuboid.space, np.array(cuboid.p_min),
+                             np.array(cuboid.p_max), weights,
                              math.log(peak / alpha) / decay)
     return Cuboid(cuboid.space, cuboid.domains, tuple(lo), tuple(hi))
 
@@ -229,7 +241,14 @@ class _Term:
                  "s", "s_lo", "s_hi")
 
     def __init__(self, span: slice, a: float, b: float, u: np.ndarray,
-                 v: np.ndarray, delta: np.ndarray):
+                 v: np.ndarray, delta: np.ndarray, reach: float = math.inf):
+        # ``reach`` bounds |delta| as for ``Metric._norms``.  ``h`` is
+        # 1-homogeneous in the gap, so a gap too large to square is divided
+        # by its largest magnitude, which ``a`` and ``b`` carry instead.
+        if reach > _SQUARE_LIMIT:
+            top = float(np.abs(delta).max())
+            if _SQUARE_LIMIT < top < math.inf:
+                a, b, delta = a * top, b * top, delta / top
         self.span, self.a, self.b = span, a, b
         dd = delta * delta
         self.n_u = math.sqrt(float(u @ dd))
@@ -446,6 +465,7 @@ def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
                if w1 > 0 and w2 > 0]
     k1, k2 = -math.log(c1.peak), -math.log(c2.peak)
     floors = _pair_floors(c1, c2, m1, m2, k1, k2, deltas)
+    reach = c1.core._reach + c2.core._reach
     min_dual = math.inf
     value, witness, best = -math.inf, None, -1
     limit = math.inf
@@ -455,7 +475,8 @@ def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
             break
         delta = deltas[row]
         gap = delta.tolist()
-        terms = [_Term(span, da, db, m1.wdim[span], m2.wdim[span], delta[span])
+        terms = [_Term(span, da, db, m1.wdim[span], m2.wdim[span],
+                       delta[span], reach)
                  for span, da, db in domains if any(gap[span])]
         dual, fracs, steps = _pair_dual(k1, k2, terms)
         total += steps
@@ -513,45 +534,63 @@ def _pair_floors(c1: "Concept", c2: "Concept", m1: Metric, m2: Metric,
     return floor
 
 
-def oracle_bounds(c1: "Concept", c2: "Concept",
-                  factor: float = 3.0) -> dict[str, tuple[float, float]]:
+def oracle_bounds(c1: "Concept",
+                  c2: "Concept") -> dict[str, tuple[float, float]]:
     """Lattice bounds enclosing both cores plus a weighted decay margin.
 
-    Each dimension extends beyond the cores' finite extents by
-    ``factor / decay`` converted into coordinate units through the owning
-    concept's weights.
+    Each concept's rows are grown by :func:`_alpha_cut_rows` at radius
+    ``_ORACLE_MARGIN / decay``, and each dimension spans the finite grown
+    bounds of both.
     """
     space = c1.space
     lows, highs = [], []
     for concept in (c1, c2):
         core = concept.core
-        lo = np.where(np.isfinite(core.lo), core.lo, np.inf).min(axis=0)
-        hi = np.where(np.isfinite(core.hi), core.hi, -np.inf).max(axis=0)
-        bounded = np.isfinite(lo)
-        off = np.zeros(space.n)
-        rates = concept.weights.metric(space).axis_rates()
-        off[bounded] = (factor / concept.decay) / rates[bounded]
-        lows.append(lo - off)
-        highs.append(hi + off)
+        lo, hi = _alpha_cut_rows(space, core.lo, core.hi, concept.weights,
+                                 _ORACLE_MARGIN / concept.decay)
+        lows.append(np.where(np.isfinite(lo), lo, np.inf).min(axis=0))
+        highs.append(np.where(np.isfinite(hi), hi, -np.inf).max(axis=0))
     lo, hi = np.minimum(*lows), np.maximum(*highs)
     return {d: (float(lo[i]), float(hi[i]))
             for i, d in enumerate(space.dim_names) if math.isfinite(lo[i])}
 
 
+def _lattice_axes(ranges: Mapping[str, tuple[float, float]],
+                  step: float) -> list[np.ndarray]:
+    """The axes of a regular lattice, one per ``{dim: (low, high)}`` entry
+    in order: ``low`` plus every multiple of ``step`` up to ``high``.
+
+    Raises ``LatticeSizeError`` when the lattice would exceed ``CELL_CAP``
+    cells, before any axis is built.
+    """
+    if not 0 < step < math.inf:
+        raise ValidationError("step must be positive and finite")
+    counts = []
+    for d, (lo, hi) in ranges.items():
+        if not lo <= hi:   # NaN too
+            raise ValidationError(f"empty range for dimension {d!r}")
+        if math.isinf(lo) or math.isinf(hi):
+            raise ValidationError(f"range for dimension {d!r} is unbounded")
+        counts.append(int(math.floor((hi - lo) / step + 1e-9)) + 1)
+    total = math.prod(counts)
+    if total > CELL_CAP:
+        raise LatticeSizeError(
+            f"lattice of {total} cells exceeds the cap of {CELL_CAP}")
+    return [lo + step * np.arange(count)
+            for (lo, _), count in zip(ranges.values(), counts)]
+
+
 def grid_oracle_max_min(c1: "Concept", c2: "Concept",
-                        bounds: Mapping[str, tuple[float, float]], step: float,
-                        cell_cap: int = DEFAULT_CELL_CAP) -> float:
+                        bounds: Mapping[str, tuple[float, float]],
+                        step: float) -> float:
     """Exhaustive lattice maximization of the two memberships' minimum.
 
-    Validation oracle: evaluates the pointwise minimum on a regular lattice
-    over ``bounds`` and returns the best value seen.  Improves monotonically
-    as ``step`` shrinks.  Raises ``LatticeSizeError`` when the lattice would
-    exceed ``cell_cap`` cells.
+    Validation oracle: evaluates the pointwise minimum on the lattice of
+    :func:`_lattice_axes` over ``bounds`` and returns the best value seen.
+    Improves monotonically as ``step`` shrinks.
     """
     if c1.space != c2.space:
         raise ValidationError("concepts belong to different spaces")
-    if not step > 0:
-        raise ValidationError("step must be positive")
     space = c1.space
     union = c1.core.domain_set | c2.core.domain_set
     lattice_dims = [d for name in space.domain_names if name in union
@@ -559,19 +598,9 @@ def grid_oracle_max_min(c1: "Concept", c2: "Concept",
     missing = [d for d in lattice_dims if d not in bounds]
     if missing:
         raise ValidationError(f"bounds missing for dimensions {missing}")
-
-    counts = []
-    for d in lattice_dims:
-        lo, hi = bounds[d]
-        if hi < lo:
-            raise ValidationError(f"empty bounds for dimension {d!r}")
-        counts.append(int(math.floor((hi - lo) / step + 1e-9)) + 1)
+    axes = _lattice_axes({d: bounds[d] for d in lattice_dims}, step)
+    counts = [len(axis) for axis in axes]
     total = math.prod(counts)
-    if total > cell_cap:
-        raise LatticeSizeError(
-            f"lattice of {total} cells exceeds the cap of {cell_cap}")
-    axes = [bounds[d][0] + step * np.arange(count)
-            for d, count in zip(lattice_dims, counts)]
 
     idx = [space.index_of(d) for d in lattice_dims]
     best = -math.inf

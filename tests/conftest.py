@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -92,8 +90,9 @@ def random_concept(rng: np.random.Generator, space: Space | None = None,
 
 def translated(concept: Concept, offset: np.ndarray) -> Concept:
     """The same concept with every cuboid shifted by ``offset``."""
-    cuboids = tuple(Cuboid(c.space, c.domains, tuple(c.lo + offset),
-                           tuple(c.hi + offset)) for c in concept.core.cuboids)
+    core = concept.core
+    cuboids = tuple(Cuboid(core.space, d, tuple(lo + offset), tuple(hi + offset))
+                    for d, lo, hi in zip(core.domains, core.lo, core.hi))
     return Concept(Core(cuboids), concept.peak, concept.decay, concept.weights)
 
 
@@ -124,29 +123,19 @@ def brute_min_distance(space: Space, weights: Weights, cuboid: Cuboid,
     Independent of the clamping shortcut: enumerates lattice points of the
     box and evaluates the weighted metric directly.
     """
-    import itertools
-
-    axes = []
+    axes = [lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+            for lo, hi in zip(cuboid.p_min, cuboid.p_max)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    total = np.zeros(len(pts))
     for name, dims in space.domains:
+        acc = np.zeros(len(pts))
         for d in dims:
             i = space.index_of(d)
-            lo, hi = cuboid.p_min[i], cuboid.p_max[i]
-            count = int(round((hi - lo) / step)) + 1
-            axes.append(lo + step * np.arange(count))
-    best = math.inf
-    for combo in itertools.product(*axes):
-        total = 0.0
-        pos = 0
-        for name, dims in space.domains:
-            acc = 0.0
-            for d in dims:
-                w = weights.dimension_weights[name][d]
-                diff = x_coords[pos] - combo[pos]
-                acc += w * diff * diff
-                pos += 1
-            total += weights.domain_weights[name] * math.sqrt(acc)
-        best = min(best, total)
-    return best
+            w = weights.dimension_weights[name][d]
+            acc += w * (x_coords[i] - pts[:, i]) ** 2
+        total += weights.domain_weights[name] * np.sqrt(acc)
+    return float(total.min())
 
 
 def between_points(rng: np.random.Generator, space: Space, start: np.ndarray,

@@ -18,9 +18,9 @@ from conceptspaces import (CombinationParams, Concept, Core, Cuboid,
                            grid_oracle_max_min, height_of_intersection)
 from conceptspaces.cli import export_grid
 
-from conftest import (LINE, PLANE, between_points, box_core, central_bounds,
-                      line_concept, random_concept, random_weights, sample_window,
-                      translated, uniform_points)
+from conftest import (LINE, PLANE, between_points, box_core, brute_min_distance,
+                      central_bounds, line_concept, random_concept, random_weights,
+                      sample_window, translated, uniform_points)
 
 
 class Timer:
@@ -358,11 +358,11 @@ def _segment_witness(c1, c2, steps=11):
     fracs = fracs.reshape(-1, len(space.domains))
     per_dim = np.repeat(fracs, [len(dims) for _, dims in space.domains], axis=1)
     best = 0.0
-    for p in c1.core.cuboids:
-        for q in c2.core.cuboids:
-            start = np.where(p.hi < q.lo, p.hi,
-                             np.where(q.hi < p.lo, p.lo, np.maximum(p.lo, q.lo)))
-            end = np.clip(start, q.lo, q.hi)
+    for p_lo, p_hi in zip(c1.core.lo, c1.core.hi):
+        for q_lo, q_hi in zip(c2.core.lo, c2.core.hi):
+            start = np.where(p_hi < q_lo, p_hi,
+                             np.where(q_hi < p_lo, p_lo, np.maximum(p_lo, q_lo)))
+            end = np.clip(start, q_lo, q_hi)
             pts = start + per_dim * (end - start)
             best = max(best, float(np.minimum(c1.membership_batch(pts),
                                               c2.membership_batch(pts)).max()))
@@ -407,25 +407,6 @@ def _random_space_for(rng, n_dims):
     return Space(tuple(domains))
 
 
-def _lattice_min_distance(space, weights, cuboid, x, step):
-    axes = []
-    for i in range(space.n):
-        lo, hi = cuboid.p_min[i], cuboid.p_max[i]
-        count = int(round((hi - lo) / step)) + 1
-        axes.append(lo + step * np.arange(count))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    total = np.zeros(len(pts))
-    for name, dims in space.domains:
-        acc = np.zeros(len(pts))
-        for d in dims:
-            i = space.index_of(d)
-            w = weights.dimension_weights[name][d]
-            acc += w * (x[i] - pts[:, i]) ** 2
-        total += weights.domain_weights[name] * np.sqrt(acc)
-    return float(total.min())
-
-
 def test_clamp_distance_matches_lattice_oracle():
     rng = np.random.default_rng(106)
     step = 1e-2
@@ -447,7 +428,7 @@ def test_clamp_distance_matches_lattice_oracle():
             coords = rng.uniform(-2.0, 2.0, n_dims)
             x = Point(space, tuple(coords))
             exact = distance_to_cuboid(x, cuboid, weights)
-            brute = _lattice_min_distance(space, weights, cuboid, coords, step)
+            brute = brute_min_distance(space, weights, cuboid, coords, step)
             assert exact <= brute + 1e-12
             assert brute - exact <= 2 * step
     report("distance to cuboid: clamp agrees with the lattice oracle "

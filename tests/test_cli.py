@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conceptspaces import KnowledgeBase
+from conceptspaces import KnowledgeBase, LatticeSizeError, ValidationError
 from conceptspaces.cli import export_grid, main
 
 from conftest import PLANE, box_core, fig_cross  # noqa: F401 (fixture)
@@ -262,6 +263,29 @@ class TestExportGridFunction:
                            {"x": (0.0, 1.0), "y": (0.0, 2.0)}, 0.5)
         assert grid.values.shape == (3, 5)
         assert grid.row_count == 15
+
+    def test_cell_cap_is_checked_before_any_axis(self, fig_cross):  # noqa: F811
+        # 5e6 points per axis: building the axes alone would take 80 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeSizeError):
+                export_grid(fig_cross, ("x", "y"),
+                            {"x": (0.0, 1.0), "y": (0.0, 1.0)}, 2e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("x, step, message", [
+        ((math.nan, 1.0), 0.5, "empty range"),
+        ((0.0, math.inf), 0.5, "unbounded"),
+        ((-math.inf, 1.0), 0.5, "unbounded"),
+        ((0.0, 1.0), math.inf, "finite"),
+    ])
+    def test_lattice_rejects_what_it_cannot_build(self, fig_cross,  # noqa: F811
+                                                  x, step, message):
+        with pytest.raises(ValidationError, match=message):
+            export_grid(fig_cross, ("x", "y"), {"x": x, "y": (0.0, 1.0)}, step)
 
 
 class TestValidateAndErrors:

@@ -162,8 +162,8 @@ class TestRepair:
                 cubs.append(plane_box(lo[0], lo[1], hi[0], hi[1]))
             fixed = repair(cubs)
             for before, after in zip(cubs, fixed):
-                assert np.all(after.lo <= before.lo)
-                assert np.all(after.hi >= before.hi)
+                assert np.all(np.array(after.p_min) <= before.p_min)
+                assert np.all(np.array(after.p_max) >= before.p_max)
 
     def test_result_always_has_central_region(self):
         rng = np.random.default_rng(9)
@@ -394,7 +394,7 @@ class TestStarShapedness:
             MIXED, ["color", "size"],
             {"hue": -1.0, "sat": 0.0, "diam": 2.0},
             {"hue": 1.0, "sat": 2.0, "diam": 5.0})
-        inside = rng.uniform(c.lo, c.hi, size=(200, 3))
+        inside = rng.uniform(c.p_min, c.p_max, size=(200, 3))
         for k in range(0, 200, 2):
             x = MIXED.point(dict(zip(MIXED.dim_names, inside[k])))
             z = MIXED.point(dict(zip(MIXED.dim_names, inside[k + 1])))
@@ -609,8 +609,8 @@ def test_core_contains_batch_matches_member_cuboids():
         rows = np.arange(300)
         pts[rows, dims] = np.where(np.isfinite(side), side, pts[rows, dims])
         want = np.zeros(len(pts), dtype=bool)
-        for c in core.cuboids:
-            want |= np.all((pts >= c.lo) & (pts <= c.hi), axis=1)
+        for lo_c, hi_c in zip(core.lo, core.hi):
+            want |= np.all((pts >= lo_c) & (pts <= hi_c), axis=1)
         got = core.contains_batch(pts)
         assert got.dtype == bool and np.array_equal(got, want)
         assert 0 < want.sum() < len(pts)
@@ -784,9 +784,10 @@ def test_prune_never_shrinks_the_domain_set(monkeypatch):
         Concept(got, 1.0, 1.0,
                 random_weights(rng, got.space, sorted(got.domain_set)))
         # kept rows inside a row of fewer domains: the guard held them
+        rows = list(zip(got.domains, got.lo, got.hi))
         guarded += sum(
-            c.domains != d.domains and np.all(c.lo >= d.lo) and np.all(c.hi <= d.hi)
-            for c in got.cuboids for d in got.cuboids)
+            dc != dd and np.all(lc >= ld) and np.all(hc <= hd)
+            for dc, lc, hc in rows for dd, ld, hd in rows)
     assert guarded >= 40
 
 
@@ -875,7 +876,7 @@ def test_cores_from_rows_and_from_cuboids_are_equal():
     # -0.0 == 0.0, so the cores are equal and must hash equal
     assert math.copysign(1.0, rows.lo[0, 0]) == -1.0
     assert rows == given and hash(rows) == hash(given)
-    assert rows.cuboids == cubs and given.cuboids is cubs
+    assert rows.cuboids == cubs and given.cuboids == cubs
     assert {rows} == {given} and {given: 1}[rows] == 1
     w = Weights.uniform(MIXED)
     assert Concept(rows, 0.8, 1.0, w) == Concept(given, 0.8, 1.0, w)
@@ -900,6 +901,22 @@ def test_cores_from_rows_and_from_cuboids_are_equal():
     with pytest.raises(AttributeError):
         rows.lo = hi
     assert not rows.lo.flags.writeable and not rows.hi.flags.writeable
+
+
+def test_repr_shows_the_rows_and_builds_no_cuboid(monkeypatch):
+    domains = (frozenset({"color"}), frozenset({"size", "color"}))
+    lo = np.array([[0.0, 0.0, -math.inf], [-1.0, -1.0, 0.0]])
+    hi = np.array([[1.0, 1.0, math.inf], [0.5, 0.0, 2.0]])
+    core = Core._from_rows(MIXED, domains, lo, hi)
+
+    def refuse(self):
+        raise AssertionError("a Cuboid was built")
+
+    monkeypatch.setattr(Cuboid, "__post_init__", refuse)
+    assert repr(core) == (
+        "Core(domains=[['color'], ['color', 'size']], "
+        "lo=[[0.0, 0.0, -inf], [-1.0, -1.0, 0.0]], "
+        "hi=[[1.0, 1.0, inf], [0.5, 0.0, 2.0]])")
 
 
 @pytest.mark.parametrize("domains, lo, hi, message",

@@ -186,7 +186,7 @@ def test_callers_keep_the_rescale_for_huge_coordinates():
             rtol=1e-14)
         assert (domain_distance(x, z, "color", weights)
                 == float(metric.domain_norms(gap)[0]))
-        clamped = np.minimum(np.maximum(y.array, cuboid.lo), cuboid.hi)
+        clamped = np.minimum(np.maximum(y.array, cuboid.p_min), cuboid.p_max)
         assert (distance_to_cuboid(y, cuboid, weights)
                 == float(metric.distance(clamped - y.array)))
         slack = abs(combined_distance(x, y, weights)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ class TestDistanceToCuboid:
             assert exact <= brute + 1e-12
             assert brute - exact <= 2 * step
 
+    def test_cuboid_without_domains_is_zero_away(self):
+        c = Cuboid(PLANE, frozenset(), (-math.inf, -math.inf),
+                   (math.inf, math.inf))
+        w = Weights.uniform(PLANE)
+        assert distance_to_cuboid(PLANE.point({"x": 5.0, "y": -3.0}), c, w) == 0.0
+
     def test_requires_covering_weights(self):
         c = Cuboid.from_bounds(PLANE, ["width", "height"],
                                {"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 1.0})
@@ -94,7 +101,7 @@ class TestAlphaCutBbox:
         concept = Concept(Core((cub,)), 0.9, 1.7, w)
         alpha = 0.4
         box = alpha_cut_bbox(cub, concept.peak, concept.decay, w, alpha)
-        mid = 0.5 * (cub.lo + cub.hi)
+        mid = 0.5 * (np.array(cub.p_min) + np.array(cub.p_max))
         for i in range(space.n):
             for bound in (box.p_min[i], box.p_max[i]):
                 face = mid.copy()
@@ -190,6 +197,33 @@ class TestHeightOfIntersection:
             sampled = np.minimum(c1.membership_batch(pts),
                                  c2.membership_batch(pts))
             assert sampled.max() <= res.bound * (1 + 1e-12)
+
+    def test_gap_too_large_to_square(self):
+        a = line_concept(0.0, 1.0, decay=1e-200)
+        b = line_concept(1e200, 2e200, decay=1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = height_of_intersection(a, b)
+        assert abs(res.value - math.exp(-0.5)) <= 1e-12
+        assert res.bound >= res.value
+
+    def test_heights_are_scale_free_past_the_square_limit(self):
+        # coordinates times s and decays over s leave every height as it
+        # is; s = 1e200 makes every gap too large to square
+        def scaled(c, s):
+            core = c.core
+            cubs = tuple(Cuboid(c.space, d, tuple(lo * s), tuple(hi * s))
+                         for d, lo, hi in zip(core.domains, core.lo, core.hi))
+            return Concept(Core(cubs), c.peak, c.decay / s, c.weights)
+
+        for c1, c2 in _disjoint_pairs(np.random.default_rng(12), 30):
+            want = height_of_intersection(c1, c2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = height_of_intersection(scaled(c1, 1e200),
+                                             scaled(c2, 1e200))
+            assert got.value == pytest.approx(want.value, rel=1e-9)
+            assert got.bound == pytest.approx(want.bound, rel=1e-9)
 
     def test_mixed_weights_regression_fixture(self):
         first, second = _mixed_weights_pair()
