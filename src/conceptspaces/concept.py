@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from . import optimize
 from .errors import UnrelatedConceptsError, ValidationError
 from .geometry import Core, _intersect_rows, cores_intersect
-from .space import Point, Space, Weights
+from .space import Point, Space, Weights, _sum_to_count
 
 # Heights below this floor mean the concepts are effectively unrelated.
 ALPHA_FLOOR = 1e-12
@@ -208,10 +208,7 @@ def _combine_weights(w1: Weights, w2: Weights, domains: Iterable[str],
             dimw[name] = dict(w2.dimension_weights[name])
         else:
             raise ValidationError(f"domain {name!r} is covered by neither operand")
-    total = math.fsum(dw.values())
-    scale = len(dw) / total
-    dw = {name: v * scale for name, v in dw.items()}
-    return Weights(dw, dimw)
+    return Weights(_sum_to_count(dw), dimw)
 
 
 def _norm_ratio(blend: Weights, own: Weights) -> float:
@@ -232,9 +229,7 @@ def _norm_ratio(blend: Weights, own: Weights) -> float:
 
 def _project_weights(weights: Weights, domains: frozenset[str]) -> Weights:
     kept = {name: weights.domain_weights[name] for name in sorted(domains)}
-    total = math.fsum(kept.values())
-    scale = len(kept) / total
-    return Weights({name: v * scale for name, v in kept.items()},
+    return Weights(_sum_to_count(kept),
                    {name: dict(weights.dimension_weights[name]) for name in kept})
 
 

@@ -173,7 +173,7 @@ def _repair_rows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """:func:`repair` on stacked bound rows."""
     finite = np.isfinite(lo)
     counts = finite.sum(axis=0)
-    centers = 0.5 * (np.where(finite, lo, 0.0) + np.where(finite, hi, 0.0))
+    centers = _inner_point(lo, hi)
     bounded = counts > 0
     meet = np.divide(centers.sum(axis=0), counts,
                      out=np.zeros(lo.shape[1]), where=bounded)

@@ -121,7 +121,6 @@ class KnowledgeBase:
     space: Space
     concepts: Mapping[str, Concept] = field(default_factory=dict)
     defaults: Defaults = field(default_factory=Defaults)
-    format_version: int = FORMAT_VERSION
     # the resolved path and the bytes ``load`` read, carried by every update
     _source: tuple[Path, bytes] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -135,13 +134,10 @@ class KnowledgeBase:
                 _check_concept(self.space, name, concept)
             object.__setattr__(self, "concepts",
                                _Concepts(self.space, concepts))
-        if self.format_version not in SUPPORTED_VERSIONS:
-            raise ValidationError(
-                f"unsupported format version {self.format_version}")
 
     def _with(self, entries: dict[str, Any]) -> "KnowledgeBase":
         kb = KnowledgeBase(self.space, _Concepts(self.space, entries),
-                           self.defaults, self.format_version)
+                           self.defaults)
         object.__setattr__(kb, "_source", self._source)
         return kb
 
@@ -183,7 +179,7 @@ class KnowledgeBase:
         """
         encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
         d = self.defaults
-        head = encode({"format_version": self.format_version,
+        head = encode({"format_version": FORMAT_VERSION,
                        "space": space_to_dict(self.space),
                        "defaults": {"s": d.s, "t": d.t,
                                     "threshold": d.threshold}})
@@ -451,4 +447,4 @@ def kb_from_dict(data: Any, auto_normalize: bool = False) -> KnowledgeBase:
         if auto_normalize:
             entries[name] = concept_from_dict(
                 space, entry, f"concepts.{name}", auto_normalize=True)
-    return KnowledgeBase(space, _Concepts(space, entries), defaults, version)
+    return KnowledgeBase(space, _Concepts(space, entries), defaults)

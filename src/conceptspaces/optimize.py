@@ -561,7 +561,9 @@ def _lattice_axes(ranges: Mapping[str, tuple[float, float]],
     in order: ``low`` plus every multiple of ``step`` up to ``high``.
 
     Raises ``LatticeSizeError`` when the lattice would exceed ``CELL_CAP``
-    cells, before any axis is built.
+    cells, before any axis is built.  A finite range wider than the largest
+    float, or a step so small that the range holds more steps than that,
+    counts infinitely many cells.
     """
     if not 0 < step < math.inf:
         raise ValidationError("step must be positive and finite")
@@ -571,7 +573,13 @@ def _lattice_axes(ranges: Mapping[str, tuple[float, float]],
             raise ValidationError(f"empty range for dimension {d!r}")
         if math.isinf(lo) or math.isinf(hi):
             raise ValidationError(f"range for dimension {d!r} is unbounded")
-        counts.append(int(math.floor((hi - lo) / step + 1e-9)) + 1)
+        steps = (hi - lo) / step + 1e-9
+        # one axis alone past the cap puts the lattice past it (inf too)
+        if not steps < CELL_CAP:
+            raise LatticeSizeError(
+                f"lattice exceeds the cap of {CELL_CAP} cells along "
+                f"dimension {d!r}")
+        counts.append(int(math.floor(steps)) + 1)
     total = math.prod(counts)
     if total > CELL_CAP:
         raise LatticeSizeError(

@@ -279,12 +279,7 @@ class Weights:
                    domain_weights: Mapping[str, float],
                    dimension_weights: Mapping[str, Mapping[str, float]]) -> "Weights":
         """Rescale positive raw weights to exact normalization, then build."""
-        dw = {k: float(v) for k, v in domain_weights.items()}
-        total = math.fsum(dw.values())
-        if total <= 0:
-            raise ValidationError("domain weights must have a positive sum")
-        scale = len(dw) / total
-        dw = {k: v * scale for k, v in dw.items()}
+        dw = _sum_to_count({k: float(v) for k, v in domain_weights.items()})
         dimw = {}
         for name, sub in dimension_weights.items():
             subtotal = math.fsum(float(v) for v in sub.values())
@@ -293,6 +288,16 @@ class Weights:
                     f"dimension weights of domain {name!r} must have a positive sum")
             dimw[name] = {d: float(v) / subtotal for d, v in sub.items()}
         return cls(dw, dimw)
+
+
+def _sum_to_count(domain_weights: Mapping[str, float]) -> dict[str, float]:
+    """Domain weights rescaled by one factor so that they sum to their
+    number."""
+    total = math.fsum(domain_weights.values())
+    if total <= 0:
+        raise ValidationError("domain weights must have a positive sum")
+    scale = len(domain_weights) / total
+    return {k: v * scale for k, v in domain_weights.items()}
 
 
 class Metric:
@@ -318,7 +323,7 @@ class Metric:
 
     __slots__ = ("space", "starts", "domain_index", "wdom", "wdim", "domains",
                  "_spans", "_covered", "_heads", "_folds", "_columns",
-                 "_rates", "_rate_floats")
+                 "_rate_floats")
 
     def __init__(self, space: Space, weights: Weights):
         unknown = weights.domain_set - set(space.domain_names)
@@ -347,11 +352,11 @@ class Metric:
                 folds.append((start, start + 1))
         self._folds = tuple(folds)
         self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # weights are immutable, so the rates are computed once, as an
-        # array and as Python floats for scalar code
-        self._rates = self.wdom[self.domain_index] * np.sqrt(self.wdim)
-        self._rates.flags.writeable = False
-        self._rate_floats = tuple(self._rates.tolist())
+        # combined distance per unit of movement along each dimension alone;
+        # weights are immutable, so the rates are computed once, as Python
+        # floats for scalar code
+        self._rate_floats = tuple(
+            (self.wdom[self.domain_index] * np.sqrt(self.wdim)).tolist())
 
     def _weight_columns(self, ndim: int) -> tuple[np.ndarray, np.ndarray]:
         """``wdim`` and the covered domains' ``wdom`` shaped to broadcast
@@ -364,28 +369,21 @@ class Metric:
             self._columns[ndim] = columns
         return columns
 
-    def domain_norms(self, gap: np.ndarray) -> np.ndarray:
+    def _norms(self, gap: np.ndarray, reach: float) -> np.ndarray:
         """Weighted Euclidean norm of the gaps on each covered domain,
         ``(len(domains), ...)``.
 
-        When a gap's largest magnitude on a domain is finite but large
-        enough that squares could overflow, that domain's gaps are divided
-        by it first; the test is made per gap and domain, so it does not
-        depend on the batch either.  Gaps smaller than about 1e-160 square
-        to 0 and count as no gap.
+        ``reach`` bounds the gaps' magnitudes, such as the sum of the
+        largest coordinate magnitudes of the points and bounds they join.
+        When it exceeds the square limit (``inf`` included), each domain
+        whose largest gap magnitude is finite but large enough that squares
+        could overflow has its gaps divided by that magnitude first; the
+        test is made per gap and domain, so it does not depend on the batch
+        either.  A reach up to the square limit spares that test; while it
+        bounds the gaps the result is the same either way, but a reach below
+        them can skip a rescale that is needed.  Gaps smaller than about
+        1e-160 square to 0 and count as no gap.
         """
-        return self._norms(gap, math.inf)
-
-    def distance(self, gap: np.ndarray) -> np.ndarray:
-        """Combined distance of the gaps, shape ``(...)``."""
-        return self._distance(gap, math.inf)
-
-    def _norms(self, gap: np.ndarray, reach: float) -> np.ndarray:
-        """:meth:`domain_norms` of gaps whose magnitudes are known to be at
-        most ``reach``, such as the sum of the largest coordinate magnitudes
-        of the points and bounds they join.  A reach up to the square limit
-        spares the overflow test; any larger value, ``inf`` included, runs
-        it, and the result is the same either way."""
         scale = None
         if not reach <= _SQUARE_LIMIT:
             mag = np.abs(gap)
@@ -406,18 +404,14 @@ class Metric:
         return norms
 
     def _distance(self, gap: np.ndarray, reach: float) -> np.ndarray:
-        """:meth:`distance` with ``reach`` as for :meth:`_norms`."""
+        """Combined distance of the gaps, shape ``(...)``, with ``reach`` as
+        for :meth:`_norms`."""
         norms = self._norms(gap, reach)
         norms *= self._weight_columns(gap.ndim)[1]
         total = norms[0]
         for d in range(1, len(norms)):
             total += norms[d]
         return total
-
-    def axis_rates(self) -> np.ndarray:
-        """Combined distance per unit of movement along each dimension alone,
-        as a read-only array."""
-        return self._rates
 
 
 def _check_same_space(x: Point, y: Point) -> None:

@@ -116,28 +116,6 @@ def uniform_points(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
     return rng.uniform(lo, hi, size=(count, len(lo)))
 
 
-def brute_min_distance(space: Space, weights: Weights, cuboid: Cuboid,
-                       x_coords, step: float) -> float:
-    """Lattice minimization of the combined distance over a cuboid.
-
-    Independent of the clamping shortcut: enumerates lattice points of the
-    box and evaluates the weighted metric directly.
-    """
-    axes = [lo + step * np.arange(int(round((hi - lo) / step)) + 1)
-            for lo, hi in zip(cuboid.p_min, cuboid.p_max)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    total = np.zeros(len(pts))
-    for name, dims in space.domains:
-        acc = np.zeros(len(pts))
-        for d in dims:
-            i = space.index_of(d)
-            w = weights.dimension_weights[name][d]
-            acc += w * (x_coords[i] - pts[:, i]) ** 2
-        total += weights.domain_weights[name] * np.sqrt(acc)
-    return float(total.min())
-
-
 def between_points(rng: np.random.Generator, space: Space, start: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
     """Points metrically between ``start`` and each row of ``ends``.

@@ -15,11 +15,12 @@ import pytest
 from conceptspaces import (CombinationParams, Concept, Core, Cuboid,
                            KnowledgeBase, Point, Space, Weights,
                            combined_distance, distance_to_cuboid,
-                           grid_oracle_max_min, height_of_intersection)
+                           height_of_intersection)
 from conceptspaces.cli import export_grid
 
-from conftest import (LINE, PLANE, between_points, box_core, brute_min_distance,
-                      central_bounds, line_concept, random_concept, random_weights,
+import paper_oracle
+from conftest import (LINE, PLANE, between_points, box_core, central_bounds,
+                      line_concept, random_concept, random_weights,
                       sample_window, translated, uniform_points)
 
 
@@ -185,7 +186,7 @@ def test_projection_reconstruction_is_superset():
 
 
 # ---------------------------------------------------------------------------
-# 5. height solver vs lattice oracle
+# 5. height solver vs the reference's lattice
 
 def _line(lo, hi, peak=1.0, decay=1.0):
     return line_concept(lo, hi, peak=peak, decay=decay)
@@ -322,21 +323,21 @@ def _height_fixtures():
 
 
 def _joint_box(c1, c2):
-    """The two cores' joint bounding box over their bounded dimensions."""
+    """The two cores' joint bounding box over their bounded dimensions, which
+    are all the dimensions in these fixtures."""
     # Past the box every per-dimension gap only grows: the max-min is inside.
     lo = np.vstack([c1.core.lo, c2.core.lo])
     hi = np.vstack([c1.core.hi, c2.core.hi])
-    lo = np.where(np.isfinite(lo), lo, np.inf).min(axis=0)
-    hi = np.where(np.isfinite(hi), hi, -np.inf).max(axis=0)
-    return {d: (float(lo[i]), float(hi[i]))
-            for i, d in enumerate(c1.space.dim_names) if math.isfinite(lo[i])}
+    return (np.where(np.isfinite(lo), lo, np.inf).min(axis=0),
+            np.where(np.isfinite(hi), hi, -np.inf).max(axis=0))
 
 
 def test_height_solver_matches_grid_oracle():
     with Timer(120.0) as timer:
         for index, (c1, c2, step, expected) in enumerate(_height_fixtures()):
             result = height_of_intersection(c1, c2)
-            oracle = grid_oracle_max_min(c1, c2, _joint_box(c1, c2), step)
+            oracle = paper_oracle.lattice_max_min(c1, c2, *_joint_box(c1, c2),
+                                                  step)
             assert abs(result.value - oracle) <= 1e-3, (
                 f"fixture {index}: solver {result.value} vs oracle {oracle}")
             if expected is not None:
@@ -428,7 +429,8 @@ def test_clamp_distance_matches_lattice_oracle():
             coords = rng.uniform(-2.0, 2.0, n_dims)
             x = Point(space, tuple(coords))
             exact = distance_to_cuboid(x, cuboid, weights)
-            brute = brute_min_distance(space, weights, cuboid, coords, step)
+            brute = paper_oracle.lattice_distance(space, weights, coords, lo,
+                                                  lo + extents, step)
             assert exact <= brute + 1e-12
             assert brute - exact <= 2 * step
     report("distance to cuboid: clamp agrees with the lattice oracle "
@@ -507,24 +509,6 @@ def test_self_intersection_and_union_idempotent(fig_cross):
 # ---------------------------------------------------------------------------
 # 10. multi-domain membership vs an independent per-domain formula
 
-def _oracle_membership(concept: Concept, pts: np.ndarray) -> np.ndarray:
-    """peak * exp(-decay * d), with d the minimum over cuboids of the
-    weighted sum of per-domain weighted Euclidean distances to the clamp."""
-    space, weights = concept.space, concept.weights
-    best = np.full(len(pts), np.inf)
-    for cuboid in concept.core.cuboids:
-        nearest = np.clip(pts, cuboid.p_min, cuboid.p_max)
-        total = np.zeros(len(pts))
-        for name, dims in space.domains:
-            idx = [space.index_of(d) for d in dims]
-            w = np.array([weights.dimension_weights[name][d] for d in dims])
-            diff = pts[:, idx] - nearest[:, idx]
-            total += (weights.domain_weights[name]
-                      * np.sqrt((diff * diff * w).sum(axis=1)))
-        best = np.minimum(best, total)
-    return concept.peak * np.exp(-concept.decay * best)
-
-
 def test_multi_domain_membership_matches_independent_oracle():
     rng = np.random.default_rng(110)
     with Timer(30.0) as timer:
@@ -539,10 +523,9 @@ def test_multi_domain_membership_matches_independent_oracle():
             pts = np.vstack([uniform_points(rng, lo, hi, 300),
                              uniform_points(rng, lo - 50.0, hi + 50.0, 50)])
             batch = concept.membership_batch(pts)
-            np.testing.assert_allclose(batch, _oracle_membership(concept, pts),
-                                       rtol=1e-12, atol=0.0)
+            assert np.array_equal(batch, paper_oracle.membership(concept, pts))
             for row, value in zip(pts[:60], batch):
                 assert concept.membership(Point(space, tuple(row))) == value
     report("membership: 40 multi-domain concepts with 3-5 cuboids match a "
-           "per-domain formula within 1e-12, scalar equals batch exactly",
+           "per-domain formula bit for bit, scalar equals batch exactly",
            timer)

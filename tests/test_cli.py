@@ -226,6 +226,18 @@ class TestExportGrid:
         rows = out.read_text().splitlines()[1:]
         assert all(row.endswith(",1") for row in rows)
 
+    # a range wider than the largest float, and a step so small that the
+    # range holds more steps than that, count infinitely many cells
+    @pytest.mark.parametrize("ranges, step", [("x=-1e308:1e308,y=0:1", "0.5"),
+                                              ("x=0:1,y=0:1", "5e-324")])
+    def test_grid_past_the_cell_cap_is_an_error(self, cross_kb, capsys,
+                                                tmp_path, ranges, step):
+        code, _, err = run(capsys, "export-grid", "cross", "--kb",
+                           str(cross_kb), "--dims", "x,y", "--range", ranges,
+                           "--step", step, "--out", str(tmp_path / "g.csv"))
+        assert code == 1
+        assert err.startswith("error: lattice exceeds the cap")
+
     def test_grid_rejects_unknown_dimension(self, cross_kb, capsys, tmp_path):
         code, _, err = run(capsys, "export-grid", "cross", "--kb",
                            str(cross_kb), "--dims", "x,zzz",
@@ -315,6 +327,22 @@ class TestValidateAndErrors:
         with pytest.raises(SystemExit) as exc:
             main(["alpha-height"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["intersect", "a", "b", "--out", "c", "--s", "2"],
+         "argument --s: '2' must lie in [0, 1]"),
+        (["union", "a", "b", "--out", "c", "--t", "x"],
+         "argument --t: invalid number 'x'"),
+        (["combine", "a", "b", "--out", "c", "--threshold", "-1"],
+         "argument --threshold: '-1' must lie in [0, 1]"),
+    ])
+    def test_unit_interval_options_reject_other_values(self, capsys, argv,
+                                                       message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cspaces ") and message in err
 
     def test_output_is_deterministic_across_runs(self, line_kb, capsys):
         first = run(capsys, "alpha-height", "a", "b", "--kb", str(line_kb))

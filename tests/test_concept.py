@@ -12,9 +12,10 @@ from conceptspaces import (CombinationParams, Concept, Core, Cuboid, Point,
                            domain_distance, optimize, subsethood_check)
 from conceptspaces.concept import _intersect_at
 
-from conftest import (LINE, PLANE, between_points, box_core,
-                      brute_min_distance, central_bounds, line_concept, random_concept,
-                      sample_window, uniform_points)
+import paper_oracle
+from conftest import (LINE, PLANE, between_points, box_core, central_bounds,
+                      line_concept, random_concept, sample_window,
+                      uniform_points)
 
 MIXED = Space((("color", ("hue", "sat")), ("size", ("diam",))))
 
@@ -61,10 +62,10 @@ class TestMembership:
     def test_half_at_distance_ln2(self):
         concept = line_concept(0.0, 1.0)
         x = 1.0 + math.log(2.0)
-        # cross-check the clamped distance with the brute lattice oracle
-        brute = brute_min_distance(LINE, concept.weights,
-                                   concept.core.cuboids[0], (x,),
-                                   step=math.log(2.0) / 128)
+        # cross-check the clamped distance with the reference's lattice
+        brute = paper_oracle.lattice_distance(
+            LINE, concept.weights, (x,), concept.core.lo[0],
+            concept.core.hi[0], math.log(2.0) / 128)
         assert brute == pytest.approx(math.log(2.0), abs=1e-2)
         assert concept.membership(LINE.point({"x": x})) == pytest.approx(
             0.5, rel=1e-12)

@@ -750,6 +750,18 @@ def test_repair_that_makes_rows_equal_keeps_the_first():
         [(0.0, meet), (meet, 6.0)]
 
 
+def test_duplicate_rows_count_once_in_the_meet_point():
+    # both cores hold [0, 2], and [1, 3] misses [-1, 0.5]
+    a = box_core(LINE, [({"x": 0.0}, {"x": 2.0}), ({"x": 1.0}, {"x": 3.0})])
+    b = box_core(LINE, [({"x": 0.0}, {"x": 2.0}), ({"x": -1.0}, {"x": 0.5})])
+    got = a.union(b)
+    # the mean of the centres 1, 2 and -0.25; counting [0, 2] twice would
+    # give 3.75 / 4
+    meet = 2.75 / 3
+    assert got.lo.tolist() == [[0.0], [meet], [-1.0]]
+    assert got.hi.tolist() == [[2.0], [3.0], [meet]]
+
+
 def test_prune_never_shrinks_the_domain_set(monkeypatch):
     # a {color} cuboid contains a {color, size} one; both stay
     a = Core((Cuboid.from_bounds(MIXED, ["color"], {"hue": 0.0, "sat": 0.0},

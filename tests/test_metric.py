@@ -1,4 +1,5 @@
-"""The compiled metric kernel: a per-domain oracle and batch-shape independence."""
+"""The compiled metric kernel: the paper's per-domain formula, bit for bit,
+and batch-shape independence."""
 
 import math
 import warnings
@@ -10,6 +11,7 @@ from conceptspaces import (Point, Space, Weights, between, combined_distance,
                            distance_to_cuboid, domain_distance, optimize)
 from conceptspaces.geometry import _BLOCK_ENTRIES
 
+import paper_oracle
 from conftest import (_SPACE_POOL, box_core, random_concept, random_weights,
                       sample_window, uniform_points)
 
@@ -20,56 +22,6 @@ WIDE = Space((("p", ("p1", "p2", "p3", "p4")), ("q", ("q1",)),
 MULTI_DOMAIN_POOL = [s for s in _SPACE_POOL if len(s.domain_names) >= 2]
 
 
-def oracle_norms(space: Space, weights: Weights, gap) -> list[float]:
-    """Weighted norms of one gap on the covered domains, in space order,
-    each summed as ``a0 + ((a1 + a2) + ...)``."""
-    norms = []
-    pos = 0
-    for name, dims in space.domains:
-        part = gap[pos:pos + len(dims)]
-        pos += len(dims)
-        if name not in weights.domain_set:
-            continue
-        sub = weights.dimension_weights[name]
-        terms = [(g * g) * sub[d] for g, d in zip(part, dims)]
-        total = terms[0]
-        if len(terms) > 1:
-            rest = terms[1]
-            for term in terms[2:]:
-                rest += term
-            total += rest
-        norms.append(math.sqrt(total))
-    return norms
-
-
-def oracle_distance(space: Space, weights: Weights, gap) -> float:
-    """The covered domains' weighted norms added in space order,
-    ``(w0 n0 + w1 n1) + ...``."""
-    names = [name for name in space.domain_names if name in weights.domain_set]
-    terms = [weights.domain_weights[name] * norm
-             for name, norm in zip(names, oracle_norms(space, weights, gap))]
-    total = terms[0]
-    for term in terms[1:]:
-        total += term
-    return total
-
-
-def scaled_oracle_distance(space: Space, weights: Weights, gap) -> float:
-    """The combined distance with each domain scaled by its largest gap."""
-    total = 0.0
-    pos = 0
-    for name, dims in space.domains:
-        part = gap[pos:pos + len(dims)]
-        pos += len(dims)
-        if name not in weights.domain_set:
-            continue
-        scale = max(abs(g) for g in part) or 1.0
-        sub = weights.dimension_weights[name]
-        inner = math.fsum(sub[d] * (g / scale) ** 2 for g, d in zip(part, dims))
-        total += weights.domain_weights[name] * math.sqrt(inner) * scale
-    return total
-
-
 @pytest.mark.parametrize("covered", [None, ["p", "r"], ["q", "s"]])
 def test_kernel_matches_per_domain_oracle(covered):
     rng = np.random.default_rng(90)
@@ -77,22 +29,21 @@ def test_kernel_matches_per_domain_oracle(covered):
     metric = weights.metric(WIDE)
     gaps = rng.normal(size=(400, WIDE.n)) * rng.choice([1e-3, 1.0, 1e3],
                                                        size=(400, 1))
-    expect_norms = np.array([oracle_norms(WIDE, weights, g.tolist())
-                             for g in gaps])
-    expect = np.array([oracle_distance(WIDE, weights, g.tolist())
-                       for g in gaps])
+    expect_norms = paper_oracle.norms(WIDE, weights, gaps)
+    expect = paper_oracle.distance(WIDE, weights, gaps)
     # alone, and as one dimension-first (n, m) batch, bit for bit
     for i in range(0, len(gaps), 37):
-        assert metric.domain_norms(gaps[i]).tolist() == expect_norms[i].tolist()
-        assert float(metric.distance(gaps[i])) == expect[i]
-    assert np.array_equal(metric.domain_norms(gaps.T), expect_norms.T)
-    assert np.array_equal(metric.distance(gaps.T), expect)
-    assert np.array_equal(metric.distance(gaps.T.reshape(WIDE.n, 20, 20)),
-                          expect.reshape(20, 20))
+        assert (metric._norms(gaps[i], math.inf).tolist()
+                == expect_norms[i].tolist())
+        assert float(metric._distance(gaps[i], math.inf)) == expect[i]
+    assert np.array_equal(metric._norms(gaps.T, math.inf), expect_norms.T)
+    assert np.array_equal(metric._distance(gaps.T, math.inf), expect)
+    assert np.array_equal(
+        metric._distance(gaps.T.reshape(WIDE.n, 20, 20), math.inf),
+        expect.reshape(20, 20))
     # and the order only moves the last bits of the true value
     np.testing.assert_allclose(
-        expect, [scaled_oracle_distance(WIDE, weights, g.tolist()) for g in gaps],
-        rtol=1e-14)
+        expect, paper_oracle.accurate_distance(WIDE, weights, gaps), rtol=1e-14)
 
 
 def test_distance_does_not_depend_on_batch_shape():
@@ -108,12 +59,13 @@ def test_distance_does_not_depend_on_batch_shape():
         core = concept.core
         clamped = np.minimum(np.maximum(coords[:, None], core.lo), core.hi)
         gaps = np.moveaxis(clamped - coords[:, None], -1, 0)   # (n, m, k)
-        stacked = metric.distance(gaps)
-        flat = metric.distance(np.ascontiguousarray(gaps).reshape(space.n, -1))
+        stacked = metric._distance(gaps, math.inf)
+        flat = metric._distance(
+            np.ascontiguousarray(gaps).reshape(space.n, -1), math.inf)
         assert np.array_equal(flat, stacked.ravel())
         picks = rng.choice(stacked.size, size=3000, replace=False)
         rows, cols = np.unravel_index(picks, stacked.shape)
-        alone = [float(metric.distance(gaps[:, i, j].copy()))
+        alone = [float(metric._distance(gaps[:, i, j].copy(), math.inf))
                  for i, j in zip(rows, cols)]
         assert alone == stacked[rows, cols].tolist()
         batch = optimize.core_distance_batch(coords, core, concept.weights)
@@ -150,20 +102,21 @@ def test_extreme_gap_in_a_later_block_leaves_every_row_exact():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = optimize.core_distance_batch(coords, core, weights)
-    expect = [scaled_oracle_distance(space, weights, (-c).tolist())
-              for c in coords]
-    np.testing.assert_allclose(got, expect, rtol=1e-14)
+    np.testing.assert_allclose(
+        got, paper_oracle.accurate_distance(space, weights, -coords),
+        rtol=1e-14)
     # every row, the huge one and those of its block included, has the
     # bits it has alone
     metric = weights.metric(space)
-    assert got.tolist() == [float(metric.distance(-c)) for c in coords]
+    assert got.tolist() == [float(metric._distance(-c, math.inf))
+                            for c in coords]
 
 
 def test_callers_keep_the_rescale_for_huge_coordinates():
     # The library's callers tell the metric how large their gaps can be,
     # which spares the overflow test for ordinary points; with coordinates
     # near the largest floats the test must still run, so each caller
-    # gives the same bits as the public kernel on the same gaps.
+    # gives the same bits as the kernel with the test forced on.
     space = Space((("color", ("hue", "sat", "val")), ("size", ("diam",))))
     weights = Weights.normalized({"color": 1.0, "size": 2.0},
                                  {"color": {"hue": 1.0, "sat": 2.0, "val": 3.0},
@@ -180,15 +133,15 @@ def test_callers_keep_the_rescale_for_huge_coordinates():
         gap = x.array - z.array
         d_xz = combined_distance(x, z, weights)
         assert math.isfinite(d_xz)
-        assert d_xz == float(metric.distance(gap))
+        assert d_xz == float(metric._distance(gap, math.inf))
         np.testing.assert_allclose(
-            d_xz, scaled_oracle_distance(space, weights, gap.tolist()),
+            d_xz, paper_oracle.accurate_distance(space, weights, gap[None])[0],
             rtol=1e-14)
         assert (domain_distance(x, z, "color", weights)
-                == float(metric.domain_norms(gap)[0]))
+                == float(metric._norms(gap, math.inf)[0]))
         clamped = np.minimum(np.maximum(y.array, cuboid.p_min), cuboid.p_max)
         assert (distance_to_cuboid(y, cuboid, weights)
-                == float(metric.distance(clamped - y.array)))
+                == float(metric._distance(clamped - y.array, math.inf)))
         slack = abs(combined_distance(x, y, weights)
                     + combined_distance(y, z, weights) - d_xz)
         assert between(x, y, z, weights, tol=slack)
@@ -197,14 +150,10 @@ def test_callers_keep_the_rescale_for_huge_coordinates():
                                tol=math.nextafter(slack, -1.0))
 
 
-def test_axis_rates_are_computed_once_and_read_only():
+def test_axis_rates_match_the_weights():
     weights = random_weights(np.random.default_rng(7), WIDE)
-    metric = weights.metric(WIDE)
-    rates = metric.axis_rates()
-    assert metric.axis_rates() is rates and not rates.flags.writeable
+    rates = weights.metric(WIDE)._rate_floats
     expect = [weights.domain_weights[WIDE.domain_of(d)]
               * math.sqrt(weights.dim_weight(WIDE.domain_of(d), d))
               for d in WIDE.dim_names]
-    np.testing.assert_array_max_ulp(rates, np.array(expect), 1)
-    # the Python floats that scalar code reads carry the same bits
-    assert metric._rate_floats == tuple(rates.tolist())
+    np.testing.assert_array_max_ulp(np.array(rates), np.array(expect), 1)

@@ -14,8 +14,9 @@ from conceptspaces import (Concept, Core, Cuboid, LatticeSizeError, Space,
 from conceptspaces.geometry import cores_intersect, nearest_point_pairs
 from conceptspaces.optimize import (DEFAULT_TOL, _alpha_cut_core, _pair_dual,
                                     _pair_floors, _Term)
-from conftest import (LINE, PLANE, box_core, brute_min_distance, line_concept,
-                      random_concept, random_space, random_weights, translated)
+import paper_oracle
+from conftest import (LINE, PLANE, box_core, line_concept, random_concept,
+                      random_space, random_weights, translated)
 
 
 class TestDistanceToCuboid:
@@ -38,27 +39,6 @@ class TestDistanceToCuboid:
         for _ in range(300):
             p = PLANE.point({"x": rng.uniform(-1, 1), "y": rng.uniform(-1, 2)})
             assert (distance_to_cuboid(p, c, w) == 0.0) == Core((c,)).contains(p)
-
-    def test_matches_lattice_oracle(self):
-        rng = np.random.default_rng(32)
-        space = Space((("a", ("a1", "a2")), ("b", ("b1",))))
-        step = 1e-2
-        for _ in range(20):
-            lo = rng.uniform(-1, 0.5, 3)
-            hi = lo + rng.integers(5, 30, 3) * step
-            c = Cuboid.from_bounds(space, ["a", "b"],
-                                   dict(zip(space.dim_names, lo)),
-                                   dict(zip(space.dim_names, hi)))
-            w = Weights.normalized(
-                {"a": rng.uniform(0.6, 1.4), "b": rng.uniform(0.6, 1.4)},
-                {"a": {"a1": rng.uniform(0.5, 1.5), "a2": rng.uniform(0.5, 1.5)},
-                 "b": {"b1": 1.0}})
-            coords = rng.uniform(-2, 2, 3)
-            x = space.point(dict(zip(space.dim_names, coords)))
-            exact = distance_to_cuboid(x, c, w)
-            brute = brute_min_distance(space, w, c, coords, step)
-            assert exact <= brute + 1e-12
-            assert brute - exact <= 2 * step
 
     def test_cuboid_without_domains_is_zero_away(self):
         c = Cuboid(PLANE, frozenset(), (-math.inf, -math.inf),
@@ -229,8 +209,9 @@ class TestHeightOfIntersection:
         first, second = _mixed_weights_pair()
         res = height_of_intersection(first, second)
         step = 4e-3
-        window = {"a1": (-1.5, 0.0), "a2": (-2.0, -0.5)}   # holds the optimum
-        oracle = grid_oracle_max_min(first, second, window, step)
+        # the box (a1, a2) in [-1.5, 0] x [-2, -0.5] holds the optimum
+        oracle = paper_oracle.lattice_max_min(first, second, (-1.5, -2.0),
+                                              (0.0, -0.5), step)
         # A lattice point lies within step/2 of the optimum on each axis.
         step_error = (max(first.peak, second.peak)
                       * max(first.decay, second.decay) * step)
@@ -547,11 +528,15 @@ class TestGridOracle:
         oracle = grid_oracle_max_min(a, b, oracle_bounds(a, b), 5e-3)
         assert solver == pytest.approx(oracle, abs=1e-3)
 
-    def test_lattice_cap(self):
+    # the last two count more steps than the largest float
+    @pytest.mark.parametrize("x, step", [((0.0, 1.0), 1e-9),
+                                         ((-1e308, 1e308), 0.5),
+                                         ((0.0, 1.0), 5e-324)])
+    def test_lattice_cap(self, x, step):
         a = line_concept(0, 1)
         b = line_concept(3, 4)
         with pytest.raises(LatticeSizeError):
-            grid_oracle_max_min(a, b, {"x": (0.0, 1.0)}, 1e-9)
+            grid_oracle_max_min(a, b, {"x": x}, step)
 
     def test_bounds_must_cover_all_dimensions(self):
         a = Concept(box_core(PLANE, [({"x": 0.0, "y": 0.0},
