@@ -39,28 +39,14 @@ class GridExport:
     """Membership values of one concept on a regular two-dimensional lattice.
 
     ``values[i, j]`` is the membership at ``(axes[0][i], axes[1][j])`` with
-    all other dimensions fixed at ``slice_point``.  Rows are emitted in
-    row-major order over (first dim, second dim).
+    all other dimensions fixed at the slice point given to
+    :func:`export_grid`.  Rows are emitted in row-major order over (first
+    dim, second dim).
     """
 
     dims: tuple[str, str]
-    ranges: tuple[tuple[float, float], tuple[float, float]]
-    step: float
     axes: tuple[np.ndarray, np.ndarray]
     values: np.ndarray
-    slice_point: Point
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.axes[0]), len(self.axes[1])):
-            raise ValidationError("value grid does not match the axes")
-        if self.values.size and not (
-                float(self.values.min()) >= 0.0
-                and float(self.values.max()) <= 1.0):
-            raise ValidationError("memberships must lie in [0, 1]")
-
-    @property
-    def row_count(self) -> int:
-        return self.values.size
 
     def write_csv(self, fh) -> None:
         d1, d2 = self.dims
@@ -97,8 +83,7 @@ def export_grid(concept: Concept, dims: tuple[str, str],
     coords[:, space.index_of(d1)] = np.repeat(ax1, len(ax2))
     coords[:, space.index_of(d2)] = np.tile(ax2, len(ax1))
     values = concept.membership_batch(coords).reshape(len(ax1), len(ax2))
-    return GridExport((d1, d2), (ranges[d1], ranges[d2]), step,
-                      (ax1, ax2), values, slice_point)
+    return GridExport((d1, d2), (ax1, ax2), values)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +303,7 @@ def _cmd_export_grid(args) -> int:
                        slice_point)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         grid.write_csv(fh)
-    print(f"wrote {grid.row_count} rows to {args.out}")
+    print(f"wrote {grid.values.size} rows to {args.out}")
     return 0
 
 

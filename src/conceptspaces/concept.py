@@ -21,10 +21,19 @@ import numpy as np
 from . import optimize
 from .errors import UnrelatedConceptsError, ValidationError
 from .geometry import Core, _intersect_rows, cores_intersect
-from .space import Point, Space, Weights, _sum_to_count
+from .space import (Point, Space, Weights, _check_decay, _check_weights_fit,
+                    _sum_to_count)
 
 # Heights below this floor mean the concepts are effectively unrelated.
 ALPHA_FLOOR = 1e-12
+# Largest excess of sub over sup membership that subsethood_check allows.
+_SLACK = 1e-9
+
+
+def _check_unit(name: str, value: float) -> None:
+    """Raise unless a blend factor or threshold lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +49,8 @@ class CombinationParams:
     t: float = 0.5
 
     def __post_init__(self):
-        for name, v in (("s", self.s), ("t", self.t)):
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {v!r}")
+        _check_unit("s", self.s)
+        _check_unit("t", self.t)
 
 
 @dataclass(frozen=True)
@@ -57,20 +65,12 @@ class Concept:
     def __post_init__(self):
         if not 0.0 < self.peak <= 1.0:
             raise ValidationError(f"peak must lie in (0, 1], got {self.peak!r}")
-        if not (self.decay > 0 and math.isfinite(self.decay)):
-            raise ValidationError(f"decay must be positive, got {self.decay!r}")
+        _check_decay(self.decay)
         if self.weights.domain_set != self.core.domain_set:
             raise ValidationError(
                 f"weights cover domains {sorted(self.weights.domain_set)} but "
                 f"the core spans {sorted(self.core.domain_set)}")
-        space = self.core.space
-        for name in self.weights.domain_set:
-            dims = set(space.dims_of(name))
-            have = set(self.weights.dimension_weights[name])
-            if dims != have:
-                raise ValidationError(
-                    f"dimension weights of domain {name!r} cover {sorted(have)}, "
-                    f"expected {sorted(dims)}")
+        _check_weights_fit(self.core.space, self.weights.dimension_weights)
 
     @property
     def space(self) -> Space:
@@ -203,11 +203,9 @@ def _combine_weights(w1: Weights, w2: Weights, domains: Iterable[str],
         elif in1:
             dw[name] = w1.domain_weights[name]
             dimw[name] = dict(w1.dimension_weights[name])
-        elif in2:
+        else:   # the result's domains are the operands', so w2 covers it
             dw[name] = w2.domain_weights[name]
             dimw[name] = dict(w2.dimension_weights[name])
-        else:
-            raise ValidationError(f"domain {name!r} is covered by neither operand")
     return Weights(_sum_to_count(dw), dimw)
 
 
@@ -243,21 +241,21 @@ class SubsethoodReport:
     samples: int
 
 
-def subsethood_check(sub: Concept, sup: Concept, sample_count: int = 10_000,
-                     seed: int = 0, slack: float = 1e-9) -> SubsethoodReport:
+def subsethood_check(sub: Concept, sup: Concept,
+                     sample_count: int = 10_000) -> SubsethoodReport:
     """Sampled check that one membership function never exceeds another.
 
-    Points are drawn in three strata: inside both cores, near the cores'
-    boundaries, and across the far field around them.  Reports the first
-    sampled point whose membership in ``sub`` exceeds the one in ``sup`` by
-    more than ``slack``.
+    Points are drawn, from a fixed seed, in three strata: inside both
+    cores, near the cores' boundaries, and across the far field around
+    them.  Reports the first sampled point whose membership in ``sub``
+    exceeds the one in ``sup`` by more than ``_SLACK``.
     """
     if sub.space != sup.space:
         raise ValidationError("concepts belong to different spaces")
     if sample_count < 1:
         raise ValidationError("sample_count must be at least 1")
     space = sub.space
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     window = optimize.oracle_bounds(sub, sup)
     win_lo = np.zeros(space.n)
     win_hi = np.zeros(space.n)
@@ -296,7 +294,7 @@ def subsethood_check(sub: Concept, sup: Concept, sample_count: int = 10_000,
     m_sub = sub.membership_batch(coords)
     m_sup = sup.membership_batch(coords)
     excess = m_sub - m_sup
-    bad = np.nonzero(excess > slack)[0]
+    bad = np.nonzero(excess > _SLACK)[0]
     if bad.size:
         first = int(bad[0])
         return SubsethoodReport(False, Point(space, tuple(coords[first])),
@@ -319,8 +317,7 @@ def combine_adjective_noun(prop: Concept, noun: Concept,
         raise ValidationError(
             f"the property must span exactly one domain, got "
             f"{sorted(prop.core.domain_set)}")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold must lie in [0, 1], got {threshold!r}")
+    _check_unit("threshold", threshold)
     (prop_domain,) = prop.core.domain_set
     if prop_domain not in noun.core.domain_set:
         raise ValidationError(

@@ -24,9 +24,10 @@ set per row, in order, and equal bounds (so ``-0.0`` equals ``0.0``), which
 is what comparing their cuboids gives.  Repair, the central region and the
 inner point each have one routine on bound arrays; :func:`repair` adapts
 the first to cuboids.  A ``Cuboid`` is a validated record of one row, for
-input and output only: no numeric code reads it.  Which dimensions a domain
-set owns is cached per space, so each cuboid's validation is a single pass
-over its bounds.
+input and output only: no numeric code reads it.  :func:`_check_row` is
+the one check of a row; ``Cuboid`` runs it, and so does ``Core._from_rows``
+on the first row its vectorised pass rejects.  Which dimensions a domain set
+owns is cached per space, so a row's check is a single pass over its bounds.
 """
 
 from __future__ import annotations
@@ -67,23 +68,7 @@ class Cuboid:
         hi = tuple(map(float, self.p_max))
         object.__setattr__(self, "p_min", lo)
         object.__setattr__(self, "p_max", hi)
-        owned = self.space._owned(domains)
-        if len(lo) != len(owned) or len(hi) != len(owned):
-            raise ValidationError("support bounds must cover every dimension")
-        inf = math.inf
-        for d, own, l, h in zip(self.space.dim_names, owned, lo, hi):
-            if own:
-                if -inf < l <= h < inf:   # finite and ordered
-                    continue
-                if not (math.isfinite(l) and math.isfinite(h)):
-                    raise ValidationError(
-                        f"bounds for dimension {d!r} must be finite")
-                raise ValidationError(
-                    f"lower bound exceeds upper bound on dimension {d!r}")
-            elif l != -inf or h != inf:
-                raise ValidationError(
-                    f"dimension {d!r} lies outside the cuboid's domains "
-                    f"and must be unbounded")
+        _check_row(self.space, domains, lo, hi)
 
     @classmethod
     def from_bounds(cls, space: Space, domains: Iterable[str],
@@ -106,6 +91,29 @@ class Cuboid:
             if missing:
                 raise ValidationError(f"missing {side} bound for {missing}")
         return cls(space, domains, tuple(lo), tuple(hi))
+
+
+def _check_row(space: Space, domains: frozenset[str], lo: Sequence[float],
+               hi: Sequence[float]) -> None:
+    """Raise unless ``lo``/``hi`` are a cuboid row of ``domains``: finite and
+    ordered on the dimensions they own, exactly ``-inf``/``+inf`` elsewhere."""
+    owned = space._owned(domains)
+    if len(lo) != len(owned) or len(hi) != len(owned):
+        raise ValidationError("support bounds must cover every dimension")
+    inf = math.inf
+    for d, own, l, h in zip(space.dim_names, owned, lo, hi):
+        if own:
+            if -inf < l <= h < inf:   # finite and ordered
+                continue
+            if not (math.isfinite(l) and math.isfinite(h)):
+                raise ValidationError(
+                    f"bounds for dimension {d!r} must be finite")
+            raise ValidationError(
+                f"lower bound exceeds upper bound on dimension {d!r}")
+        elif l != -inf or h != inf:
+            raise ValidationError(
+                f"dimension {d!r} lies outside the cuboid's domains "
+                f"and must be unbounded")
 
 
 def _inner_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -330,7 +338,7 @@ class Core:
 
         The rows must be valid cuboids: finite and ordered bounds on the
         dimensions their domains own, exactly ``-inf``/``+inf`` elsewhere.
-        A faulty row raises the message its ``Cuboid`` would.
+        The first faulty row raises its message from :func:`_check_row`.
         """
         domains = tuple(domains)
         if lo.shape != (len(domains), space.n) or hi.shape != lo.shape:
@@ -342,7 +350,7 @@ class Core:
         valid = (lo <= hi) & ((lo > -np.inf) == owned) & ((hi < np.inf) == owned)
         if not valid.all():
             i = int(np.argmin(valid.all(axis=1)))
-            Cuboid(space, domains[i], lo[i].tolist(), hi[i].tolist())
+            _check_row(space, domains[i], lo[i].tolist(), hi[i].tolist())
             raise ValidationError(f"row {i} is not a valid cuboid")
         core = cls.__new__(cls)
         core._set_rows(space, domains, frozenset().union(*distinct), lo, hi)

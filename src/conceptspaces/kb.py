@@ -39,8 +39,10 @@ every concept at once.  ``cspaces validate`` reads every concept.
 Cuboid entries decode to a core's rows (a domain set and full-length
 bounds, ``-inf``/``+inf`` off the entry's domains); decoding checks only the
 entries' format, and ``Core._from_rows`` checks the rows once per concept.
-Encoding writes from the same rows, a core's only state even when it was
-built from ``Cuboid`` objects, so neither way builds a ``Cuboid``.
+Weights are checked against the space, as ``Concept`` checks them, before
+their sums.  Encoding writes from the same rows, a core's only state even
+when it was built from ``Cuboid`` objects, so neither way builds a
+``Cuboid``.
 """
 
 from __future__ import annotations
@@ -57,13 +59,12 @@ from typing import Any
 
 import numpy as np
 
-from .concept import Concept
+from .concept import Concept, _check_unit
 from .errors import KbFormatError, UnknownNameError, ValidationError
 from .geometry import Core
-from .space import Space, Weights
+from .space import Space, Weights, _check_weights_fit
 
 FORMAT_VERSION = 1
-SUPPORTED_VERSIONS = frozenset({1})
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,8 @@ class Defaults:
     threshold: float = 0.5
 
     def __post_init__(self):
-        for name in ("s", "t"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"default {name} must lie in [0, 1]")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValidationError("default threshold must lie in [0, 1]")
+        for name in ("s", "t", "threshold"):
+            _check_unit(f"default {name}", getattr(self, name))
 
 
 class _Concepts(Mapping):
@@ -267,27 +264,27 @@ def space_to_dict(space: Space) -> dict:
                         for name, dims in space.domains]}
 
 
-def space_from_dict(data: Any, path: str = "space") -> Space:
-    data = _expect_mapping(data, path)
+def space_from_dict(data: Any) -> Space:
+    data = _expect_mapping(data, "space")
     domains = data.get("domains")
     if not isinstance(domains, list) or not domains:
-        raise KbFormatError(f"{path}.domains: expected a non-empty list")
+        raise KbFormatError("space.domains: expected a non-empty list")
     pairs = []
     for i, entry in enumerate(domains):
-        entry = _expect_mapping(entry, f"{path}.domains[{i}]")
+        entry = _expect_mapping(entry, f"space.domains[{i}]")
         name = entry.get("name")
         dims = entry.get("dimensions")
         if not isinstance(name, str) or not name:
-            raise KbFormatError(f"{path}.domains[{i}].name: expected a name")
+            raise KbFormatError(f"space.domains[{i}].name: expected a name")
         if (not isinstance(dims, list) or not dims
                 or not all(isinstance(d, str) and d for d in dims)):
             raise KbFormatError(
-                f"{path}.domains[{i}].dimensions: expected dimension names")
+                f"space.domains[{i}].dimensions: expected dimension names")
         pairs.append((name, tuple(dims)))
     try:
         return Space(tuple(pairs))
     except ValidationError as exc:
-        raise KbFormatError(f"{path}: {exc}") from exc
+        raise KbFormatError(f"space: {exc}") from exc
 
 
 def weights_to_dict(weights: Weights) -> dict:
@@ -301,11 +298,8 @@ def weights_from_dict(space: Space, data: Any, path: str,
     data = _expect_mapping(data, path)
     raw_domains = _expect_mapping(data.get("domains"), f"{path}.domains")
     raw_dims = _expect_mapping(data.get("dimensions"), f"{path}.dimensions")
-    dw = {}
-    for name, value in raw_domains.items():
-        if name not in space.domain_names:
-            raise KbFormatError(f"{path}.domains: unknown domain {name!r}")
-        dw[name] = _expect_number(value, f"{path}.domains.{name}")
+    dw = {name: _expect_number(value, f"{path}.domains.{name}")
+          for name, value in raw_domains.items()}
     dimw: dict[str, dict[str, float]] = {name: {} for name in dw}
     for dim, value in raw_dims.items():
         if dim not in space.dim_names:
@@ -316,20 +310,20 @@ def weights_from_dict(space: Space, data: Any, path: str,
                 f"{path}.dimensions: dimension {dim!r} belongs to domain "
                 f"{domain!r}, which has no domain weight")
         dimw[domain][dim] = _expect_number(value, f"{path}.dimensions.{dim}")
-    for name in dw:
-        missing = [d for d in space.dims_of(name) if d not in dimw[name]]
-        if missing:
-            raise KbFormatError(
-                f"{path}.dimensions: missing weights for {missing}")
+    # the fit first, so that a missing weight is neither a sum nor rescaled
     try:
-        return Weights(dw, dimw)
-    except ValidationError as exc:
-        if not auto_normalize:
-            raise KbFormatError(f"{path}: {exc}") from exc
+        _check_weights_fit(space, dimw)
+        try:
+            return Weights(dw, dimw)
+        except ValidationError:
+            if not auto_normalize:
+                raise
         normalized = Weights.normalized(dw, dimw)
-        warnings.warn(f"{path}: weights rescaled to exact normalization",
-                      stacklevel=2)
-        return normalized
+    except ValidationError as exc:
+        raise KbFormatError(f"{path}: {exc}") from exc
+    warnings.warn(f"{path}: weights rescaled to exact normalization",
+                  stacklevel=2)
+    return normalized
 
 
 def _rows_from_dict(space: Space, data: Any, path: str
@@ -421,10 +415,10 @@ def kb_from_dict(data: Any, auto_normalize: bool = False) -> KnowledgeBase:
     version = data.get("format_version")
     if not isinstance(version, int) or isinstance(version, bool):
         raise KbFormatError("format_version: expected an integer")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise KbFormatError(
             f"format_version: version {version} is not supported "
-            f"(supported: {sorted(SUPPORTED_VERSIONS)})")
+            f"(supported: [{FORMAT_VERSION}])")
     space = space_from_dict(data.get("space"))
 
     raw_defaults = data.get("defaults", {})

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import LatticeSizeError, ValidationError
 from .geometry import (_BLOCK_ENTRIES, Core, Cuboid, _inner_point,
                        nearest_point_pairs)
-from .space import _SQUARE_LIMIT, Metric, Point, Space, Weights
+from .space import _SQUARE_LIMIT, Metric, Point, Space, Weights, _check_decay
 
 if TYPE_CHECKING:  # pragma: no cover
     from .concept import Concept
@@ -107,8 +107,7 @@ def alpha_cut_bbox(cuboid: Cuboid, peak: float, decay: float,
     if not 0 < alpha <= peak:
         raise ValidationError(
             f"level {alpha!r} must be in (0, peak]; peak is {peak!r}")
-    if not decay > 0:
-        raise ValidationError("decay rate must be positive")
+    _check_decay(decay)
     if not cuboid.domains <= weights.domain_set:
         missing = sorted(cuboid.domains - weights.domain_set)
         raise ValidationError(f"weights do not cover domains {missing}")
@@ -197,12 +196,15 @@ class HeightResult:
     value: float
     witness: Point
     iterations: int
-    converged: bool
     bound: float
 
     @property
     def gap(self) -> float:
         return self.bound - self.value
+
+    @property
+    def converged(self) -> bool:
+        return self.gap <= DEFAULT_TOL
 
 
 # Safeguarded Newton steps per inner solve, the width of the bracket on the
@@ -437,8 +439,7 @@ def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
     the bound stays certified.  Ties go to the pair that comes first in
     row order, as in a search over all pairs.  Each solved pair evaluates
     at most ``_DUAL_CAP`` values of its dual variable; a pair cut there
-    still gives a certified bound.  ``converged`` compares the gap with
-    ``DEFAULT_TOL``.
+    still gives a certified bound.
     """
     if c1.space != c2.space:
         raise ValidationError("concepts belong to different spaces")
@@ -454,8 +455,7 @@ def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
                               np.minimum(c1.core.hi[i], c2.core.hi[j]))
         witness = Point(space, tuple(shared))
         low = min(c1.peak, c2.peak)
-        return HeightResult(low, witness, iterations=0, converged=True,
-                            bound=low)
+        return HeightResult(low, witness, iterations=0, bound=low)
 
     m1 = c1.weights.metric(space)
     m2 = c2.weights.metric(space)
@@ -498,8 +498,7 @@ def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
                 limit = t + _FLOOR_MARGIN * (1.0 + t)
     bound = max(math.exp(-min_dual), value, math.ulp(0.0))
     return HeightResult(value, Point(space, tuple(witness)),
-                        iterations=total,
-                        converged=bound - value <= DEFAULT_TOL, bound=bound)
+                        iterations=total, bound=bound)
 
 
 def _pair_floors(c1: "Concept", c2: "Concept", m1: Metric, m2: Metric,
@@ -561,9 +560,9 @@ def _lattice_axes(ranges: Mapping[str, tuple[float, float]],
     in order: ``low`` plus every multiple of ``step`` up to ``high``.
 
     Raises ``LatticeSizeError`` when the lattice would exceed ``CELL_CAP``
-    cells, before any axis is built.  A finite range wider than the largest
-    float, or a step so small that the range holds more steps than that,
-    counts infinitely many cells.
+    cells, before any axis is built; a range holding more steps than the
+    largest float counts infinitely many cells.  A range wider than the
+    largest float is counted and built on halved bounds, which is exact.
     """
     if not 0 < step < math.inf:
         raise ValidationError("step must be positive and finite")
@@ -573,7 +572,10 @@ def _lattice_axes(ranges: Mapping[str, tuple[float, float]],
             raise ValidationError(f"empty range for dimension {d!r}")
         if math.isinf(lo) or math.isinf(hi):
             raise ValidationError(f"range for dimension {d!r} is unbounded")
-        steps = (hi - lo) / step + 1e-9
+        if hi - lo < math.inf:
+            steps = (hi - lo) / step + 1e-9
+        else:
+            steps = (hi / 2 - lo / 2) / step * 2 + 1e-9
         # one axis alone past the cap puts the lattice past it (inf too)
         if not steps < CELL_CAP:
             raise LatticeSizeError(
@@ -584,8 +586,13 @@ def _lattice_axes(ranges: Mapping[str, tuple[float, float]],
     if total > CELL_CAP:
         raise LatticeSizeError(
             f"lattice of {total} cells exceeds the cap of {CELL_CAP}")
-    return [lo + step * np.arange(count)
-            for (lo, _), count in zip(ranges.values(), counts)]
+    axes = []
+    for (lo, hi), count in zip(ranges.values(), counts):
+        if hi - lo < math.inf:
+            axes.append(lo + step * np.arange(count))
+        else:
+            axes.append(2 * (lo / 2 + step / 2 * np.arange(count)))
+    return axes
 
 
 def grid_oracle_max_min(c1: "Concept", c2: "Concept",

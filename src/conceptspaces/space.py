@@ -244,17 +244,6 @@ class Weights:
     def domain_set(self) -> frozenset[str]:
         return frozenset(self.domain_weights)
 
-    def dim_weight(self, domain: str, dim: str) -> float:
-        sub = self.dimension_weights.get(domain)
-        if sub is None:
-            raise ValidationError(f"unknown domain {domain!r}")
-        try:
-            return sub[dim]
-        except KeyError:
-            raise ValidationError(
-                f"missing dimension weight for {dim!r} in domain {domain!r}"
-            ) from None
-
     def metric(self, space: Space) -> "Metric":
         """These weights compiled against a space, cached for the last one."""
         cached = getattr(self, "_metric", None)
@@ -300,6 +289,27 @@ def _sum_to_count(domain_weights: Mapping[str, float]) -> dict[str, float]:
     return {k: v * scale for k, v in domain_weights.items()}
 
 
+def _check_weights_fit(space: Space,
+                       dimw: Mapping[str, Mapping[str, float]]) -> None:
+    """Raise unless the dimension weights, grouped by domain, cover only
+    domains of the space and name exactly the dimensions of each."""
+    unknown = set(dimw).difference(space.domain_names)
+    if unknown:
+        raise ValidationError(f"weights cover unknown domains {sorted(unknown)}")
+    for name, sub in dimw.items():
+        dims = set(space.dims_of(name))
+        if dims != set(sub):
+            raise ValidationError(
+                f"dimension weights of domain {name!r} cover {sorted(sub)}, "
+                f"expected {sorted(dims)}")
+
+
+def _check_decay(decay: float) -> None:
+    if not (decay > 0 and math.isfinite(decay)):
+        raise ValidationError(
+            f"decay must be positive and finite, got {decay!r}")
+
+
 class Metric:
     """Weights compiled against a space for array evaluation of the metric.
 
@@ -326,14 +336,12 @@ class Metric:
                  "_rate_floats")
 
     def __init__(self, space: Space, weights: Weights):
-        unknown = weights.domain_set - set(space.domain_names)
-        if unknown:
-            raise ValidationError(f"weights cover unknown domains {sorted(unknown)}")
+        _check_weights_fit(space, weights.dimension_weights)
         self.space = space
         self.starts, self.domain_index = space._layout
         self.wdom = np.array([weights.domain_weights.get(name, 0.0)
                               for name in space.domain_names])
-        self.wdim = np.array([weights.dim_weight(name, d)
+        self.wdim = np.array([weights.dimension_weights[name][d]
                               if name in weights.domain_set else 0.0
                               for name, dims in space.domains for d in dims])
         ends = self.starts.tolist()[1:] + [space.n]
@@ -438,8 +446,7 @@ def combined_distance(x: Point, y: Point, weights: Weights) -> float:
 
 def similarity(x: Point, y: Point, decay: float, weights: Weights) -> float:
     """Exponentially decaying similarity, 1 at distance zero."""
-    if not decay > 0:
-        raise ValidationError("decay rate must be positive")
+    _check_decay(decay)
     return math.exp(-decay * combined_distance(x, y, weights))
 
 
@@ -453,7 +460,7 @@ def between(x: Point, y: Point, z: Point, weights: Weights,
     """
     _check_same_space(x, y)
     _check_same_space(y, z)
-    if tol is not None and tol < 0:
+    if tol is not None and not tol >= 0:   # NaN too
         raise ValidationError("tolerance must be non-negative")
     # dimension-first, one column per pair
     gaps = np.array((x.array - z.array, x.array - y.array, y.array - z.array)).T

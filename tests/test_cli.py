@@ -97,6 +97,22 @@ class TestConceptCommands:
         assert code == 1
         assert "zzz" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["add", "c", "--file", "missing.json"], "error: [Errno 2] "),
+        (["add", "c", "--json", "{"],
+         "error: invalid JSON at line 1, column 2: "),
+        (["rm", "nope"], "error: no concept named 'nope'\n"),
+    ], ids=["missing-file", "broken-json", "unknown-name"])
+    def test_failures_exit_1_with_one_error_line(self, line_kb, capsys,
+                                                 monkeypatch, tmp_path,
+                                                 argv, message):
+        monkeypatch.chdir(tmp_path)
+        before = line_kb.read_bytes()
+        code, out, err = run(capsys, "concept", *argv, "--kb", str(line_kb))
+        assert code == 1 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+        assert line_kb.read_bytes() == before
+
     def test_add_from_file(self, line_kb, tmp_path, capsys):
         payload = tmp_path / "c.json"
         payload.write_text(json.dumps(LINE_CONCEPT_A))
@@ -274,7 +290,7 @@ class TestExportGridFunction:
         grid = export_grid(fig_cross, ("x", "y"),
                            {"x": (0.0, 1.0), "y": (0.0, 2.0)}, 0.5)
         assert grid.values.shape == (3, 5)
-        assert grid.row_count == 15
+        assert grid.values.size == 15
 
     def test_cell_cap_is_checked_before_any_axis(self, fig_cross):  # noqa: F811
         # 5e6 points per axis: building the axes alone would take 80 MB

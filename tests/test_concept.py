@@ -11,6 +11,7 @@ from conceptspaces import (CombinationParams, Concept, Core, Cuboid, Point,
                            Weights, combine_adjective_noun, combined_distance,
                            domain_distance, optimize, subsethood_check)
 from conceptspaces.concept import _intersect_at
+from conceptspaces.kb import Defaults
 
 import paper_oracle
 from conftest import (LINE, PLANE, between_points, box_core, central_bounds,
@@ -39,6 +40,23 @@ class TestConceptValidation:
         core = box_core(PLANE, [({"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 1.0})])
         with pytest.raises(ValidationError):
             Concept(core, 1.0, 1.0, Weights.uniform(PLANE, ["width"]))
+
+    def test_decay_message_is_shared(self):
+        core = box_core(LINE, [({"x": 0.0}, {"x": 1.0})])
+        with pytest.raises(ValidationError) as err:
+            Concept(core, 1.0, math.inf, Weights.uniform(LINE))
+        assert str(err.value) == "decay must be positive and finite, got inf"
+
+    def test_weights_must_name_exactly_the_domain_dimensions(self):
+        core = box_core(MIXED, [({"hue": 0.0, "sat": 0.0},
+                                 {"hue": 1.0, "sat": 1.0})], ["color"])
+        extra = Weights({"color": 1.0},
+                        {"color": {"hue": 0.25, "sat": 0.25, "bogus": 0.5}})
+        with pytest.raises(ValidationError) as err:
+            Concept(core, 1.0, 1.0, extra)
+        assert str(err.value) == (
+            "dimension weights of domain 'color' cover "
+            "['bogus', 'hue', 'sat'], expected ['hue', 'sat']")
 
     def test_combination_params_range(self):
         with pytest.raises(ValidationError):
@@ -503,6 +521,21 @@ class TestAdjectiveNoun:
             1.0, 1.0, Weights.uniform(MIXED, ["size"]))
         with pytest.raises(ValidationError):
             combine_adjective_noun(prop, size_only)
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5, math.nan])
+    def test_factors_and_threshold_share_one_rule(self, value):
+        prop = self.build_property(0.0, 1.0)
+        noun = self.build_noun(0.0, 1.0)
+        for name, build in (
+                ("s", lambda: CombinationParams(s=value)),
+                ("t", lambda: CombinationParams(t=value)),
+                ("threshold",
+                 lambda: combine_adjective_noun(prop, noun, value)),
+                ("default threshold", lambda: Defaults(threshold=value))):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert str(err.value) == (
+                f"{name} must lie in [0, 1], got {value!r}")
 
     def test_single_domain_noun_replacement_returns_property(self):
         prop = self.build_property(10.0, 11.0)

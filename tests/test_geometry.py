@@ -933,10 +933,17 @@ def test_repr_shows_the_rows_and_builds_no_cuboid(monkeypatch):
 
 @pytest.mark.parametrize("domains, lo, hi, message",
                          [f for f in _FAULTS if len(f[1]) == len(f[2]) == 3])
-def test_rows_are_checked_like_cuboids(domains, lo, hi, message):
+def test_rows_are_checked_like_cuboids(domains, lo, hi, message,
+                                       monkeypatch):
     good = Cuboid.from_bounds(MIXED, ["color", "size"],
                               {"hue": 0.0, "sat": 0.0, "diam": 0.0},
                               {"hue": 1.0, "sat": 1.0, "diam": 1.0})
+
+    def refuse(self):
+        raise AssertionError("a Cuboid was built")
+
+    # the rows' messages do not come from building a Cuboid
+    monkeypatch.setattr(Cuboid, "__post_init__", refuse)
     with pytest.raises(ValidationError) as err:
         Core._from_rows(MIXED, [good.domains, frozenset(domains)],
                         np.array([good.p_min, lo], dtype=float),

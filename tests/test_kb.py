@@ -205,6 +205,68 @@ def assert_fails_when_read(path, capsys, pattern):
     assert re.search(pattern, err[len("error: "):-1])
 
 
+def _set(*keys_and_value):
+    """A change to a payload: set the value at the path of keys."""
+    *keys, value = keys_and_value
+
+    def change(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        payload[keys[-1]] = value
+    return change
+
+
+_UNIT = ("concepts", "unit")
+_WEIGHTS = _UNIT + ("weights",)
+_CUBOID = _UNIT + ("cuboids", 0)
+
+
+@pytest.mark.parametrize("change, message", [
+    (_set(*_UNIT, 5), "concepts.unit: expected an object"),
+    (_set(*_UNIT, "mu0", "1"), "concepts.unit.mu0: expected a number"),
+    (_set(*_UNIT, "c", math.nan), "concepts.unit.c: expected a finite number"),
+    (_set("space", "domains", []), "space.domains: expected a non-empty list"),
+    (_set("space", "domains", 0, "name", ""),
+     "space.domains[0].name: expected a name"),
+    (_set("space", "domains", 1, "dimensions", ["y", 2]),
+     "space.domains[1].dimensions: expected dimension names"),
+    (_set("space", "domains", 1, "dimensions", ["x"]),
+     "space: duplicate dimension name 'x'"),
+    (_set(*_WEIGHTS, "domains", {"width": 1.0, "height": 1.0, "depth": 1.0}),
+     "concepts.unit.weights: weights cover unknown domains ['depth']"),
+    (_set(*_WEIGHTS, "dimensions", {"x": 1.0, "y": 1.0, "z": 1.0}),
+     "concepts.unit.weights.dimensions: unknown dimension 'z'"),
+    (_set(*_WEIGHTS, "domains", {"width": 1.0}),
+     "concepts.unit.weights.dimensions: dimension 'y' belongs to domain "
+     "'height', which has no domain weight"),
+    (_set(*_WEIGHTS, "dimensions", {"x": 1.0}),
+     "concepts.unit.weights: dimension weights of domain 'height' cover [], "
+     "expected ['y']"),
+    (_set(*_CUBOID, "domains", "width"),
+     "concepts.unit.cuboids[0].domains: expected a list of domain names"),
+    (_set(*_CUBOID, "domains", ["width", "depth"]),
+     "concepts.unit.cuboids[0].domains: unknown domain 'depth'"),
+    (_set(*_UNIT, "cuboids", []),
+     "concepts.unit.cuboids: expected a non-empty list"),
+    (_set("format_version", 1.0), "format_version: expected an integer"),
+    (_set("format_version", 2),
+     "format_version: version 2 is not supported (supported: [1])"),
+    (_set("defaults", "s", 1.5),
+     "defaults: default s must lie in [0, 1], got 1.5"),
+], ids=["entry", "mu0", "nan", "no-domains", "domain-name", "dimension-list",
+        "duplicate-dimension", "weight-domain", "weight-dimension",
+        "no-domain-weight", "missing-weight", "cuboid-domains",
+        "cuboid-domain", "no-cuboids", "version-type", "version",
+        "default"])
+def test_malformed_payloads_name_their_path(tmp_path, change, message):
+    payload = minimal_payload()
+    change(payload)
+    path = write_payload(tmp_path, payload)
+    with pytest.raises(KbFormatError) as err:
+        KnowledgeBase.load(path).get_concept("unit")
+    assert str(err.value) == message
+
+
 class TestValidation:
     def test_minimal_payload_loads(self, tmp_path):
         kb = KnowledgeBase.load(write_payload(tmp_path, minimal_payload()))
@@ -239,6 +301,16 @@ class TestValidation:
         got = kb.get_concept("unit").weights.domain_weights
         assert got["width"] == pytest.approx(2 * 1.2 / 1.8)
         assert got["height"] == pytest.approx(2 * 0.6 / 1.8)
+
+    def test_weights_that_cannot_be_rescaled_name_the_entry(self, tmp_path):
+        payload = minimal_payload()
+        weights = payload["concepts"]["unit"]["weights"]
+        weights["domains"] = {"width": 0.0, "height": 0.0}
+        path = write_payload(tmp_path, payload)
+        with pytest.raises(KbFormatError) as err:
+            KnowledgeBase.load(path, auto_normalize=True)
+        assert str(err.value) == ("concepts.unit.weights: domain weights "
+                                  "must have a positive sum")
 
     def test_unknown_dimension_in_cuboid_names_it(self, tmp_path, capsys):
         payload = minimal_payload()

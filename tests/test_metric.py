@@ -154,6 +154,6 @@ def test_axis_rates_match_the_weights():
     weights = random_weights(np.random.default_rng(7), WIDE)
     rates = weights.metric(WIDE)._rate_floats
     expect = [weights.domain_weights[WIDE.domain_of(d)]
-              * math.sqrt(weights.dim_weight(WIDE.domain_of(d), d))
+              * math.sqrt(weights.dimension_weights[WIDE.domain_of(d)][d])
               for d in WIDE.dim_names]
     np.testing.assert_array_max_ulp(np.array(rates), np.array(expect), 1)

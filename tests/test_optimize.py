@@ -12,8 +12,9 @@ from conceptspaces import (Concept, Core, Cuboid, LatticeSizeError, Space,
                            distance_to_cuboid, grid_oracle_max_min,
                            height_of_intersection, oracle_bounds)
 from conceptspaces.geometry import cores_intersect, nearest_point_pairs
-from conceptspaces.optimize import (DEFAULT_TOL, _alpha_cut_core, _pair_dual,
-                                    _pair_floors, _Term)
+from conceptspaces.optimize import (DEFAULT_TOL, _alpha_cut_core,
+                                    _lattice_axes, _pair_dual, _pair_floors,
+                                    _Term)
 import paper_oracle
 from conftest import (LINE, PLANE, box_core, line_concept, random_concept,
                       random_space, random_weights, translated)
@@ -71,6 +72,14 @@ class TestAlphaCutBbox:
         c = Cuboid.from_bounds(LINE, ["val"], {"x": 0.0}, {"x": 1.0})
         with pytest.raises(ValidationError):
             alpha_cut_bbox(c, 0.5, 1.0, Weights.uniform(LINE), 0.75)
+
+    @pytest.mark.parametrize("decay", [0.0, math.inf, math.nan])
+    def test_rejects_decay_that_is_not_positive_and_finite(self, decay):
+        c = Cuboid.from_bounds(LINE, ["val"], {"x": 0.0}, {"x": 1.0})
+        with pytest.raises(ValidationError) as err:
+            alpha_cut_bbox(c, 1.0, decay, Weights.uniform(LINE), 0.5)
+        assert str(err.value) == (
+            f"decay must be positive and finite, got {decay!r}")
 
     def test_faces_touch_the_level_set(self):
         space = PLANE
@@ -537,6 +546,17 @@ class TestGridOracle:
         b = line_concept(3, 4)
         with pytest.raises(LatticeSizeError):
             grid_oracle_max_min(a, b, {"x": x}, step)
+
+    @pytest.mark.parametrize("low, high, axis", [
+        (-1e308, 1e308, [-1e308, 0.0, 1e308]),
+        (-1.5e308, 1.5e308, [-1.5e308, -5e307, 5e307, 1.5e308]),
+    ])
+    def test_lattice_wider_than_the_largest_float(self, low, high, axis):
+        # high - low overflows, yet the step leaves only a few cells
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got,) = _lattice_axes({"x": (low, high)}, 1e308)
+        assert got.tolist() == axis
 
     def test_bounds_must_cover_all_dimensions(self):
         a = Concept(box_core(PLANE, [({"x": 0.0, "y": 0.0},

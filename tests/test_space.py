@@ -55,7 +55,7 @@ class TestWeights:
         w = Weights({"color": 1.2, "size": 0.8},
                     {"color": {"hue": 0.3, "sat": 0.7}, "size": {"diam": 1.0}})
         assert w.domain_set == {"color", "size"}
-        assert w.dim_weight("color", "sat") == 0.7
+        assert w.dimension_weights["color"]["sat"] == 0.7
 
     def test_domain_sum_must_match_count(self):
         with pytest.raises(ValidationError):
@@ -220,6 +220,16 @@ class TestSimilarity:
         with pytest.raises(ValidationError):
             similarity(p, p, 0.0, w)
 
+    @pytest.mark.parametrize("decay", [-1.0, math.inf, math.nan])
+    def test_rejects_decay_that_is_not_positive_and_finite(self, decay):
+        # an infinite decay at distance 0 would give exp(-inf * 0) = NaN
+        w = Weights.uniform(PLANE)
+        p = PLANE.point({"x": 0.0, "y": 0.0})
+        with pytest.raises(ValidationError) as err:
+            similarity(p, p, decay, w)
+        assert str(err.value) == (
+            f"decay must be positive and finite, got {decay!r}")
+
 
 class TestBetween:
     def test_endpoint_is_between(self):
@@ -246,6 +256,15 @@ class TestBetween:
         z = LINE.point({"x": 1.0})
         assert not between(x, y, z, w)
 
+    @pytest.mark.parametrize("tol", [-1e-12, -math.inf, math.nan])
+    def test_rejects_tolerance_that_is_not_non_negative(self, tol):
+        w = Weights.uniform(MIXED)
+        x = MIXED.point({"hue": 1.0, "sat": 2.0, "diam": 3.0})
+        assert between(x, x, x, w, tol=0.0)
+        with pytest.raises(ValidationError,
+                           match="^tolerance must be non-negative$"):
+            between(x, x, x, w, tol=tol)
+
     def test_singleton_domains_accept_exactly_the_spanned_box(self):
         rng = np.random.default_rng(4)
         w = Weights.uniform(PLANE)
@@ -258,3 +277,40 @@ class TestBetween:
             assert between(x, Point(PLANE, tuple(inside)), z, w)
             outside = hi + rng.uniform(0.1, 1.0, 2)
             assert not between(x, Point(PLANE, tuple(outside)), z, w)
+
+
+# The weights name a dimension the color domain does not have; every metric
+# path must refuse them rather than drop the extra weight (the distance from
+# (0, 0) to (1, 0) would come out as 0.5).
+EXTRA_DIMENSION = ("dimension weights of domain 'color' cover "
+                   "['bogus', 'hue', 'sat'], expected ['hue', 'sat']")
+
+
+@pytest.mark.parametrize("measure", [
+    lambda x, y, w: combined_distance(x, y, w),
+    lambda x, y, w: domain_distance(x, y, "color", w),
+    lambda x, y, w: between(x, y, y, w),
+], ids=["combined_distance", "domain_distance", "between"])
+def test_metric_rejects_weights_for_a_dimension_the_domain_lacks(measure):
+    w = Weights({"color": 1.0},
+                {"color": {"hue": 0.25, "sat": 0.25, "bogus": 0.5}})
+    x = TWO_DIM_DOMAIN.point({"hue": 0.0, "sat": 0.0})
+    y = TWO_DIM_DOMAIN.point({"hue": 1.0, "sat": 0.0})
+    with pytest.raises(ValidationError) as err:
+        measure(x, y, w)
+    assert str(err.value) == EXTRA_DIMENSION
+
+
+def test_metric_rejects_weights_missing_a_dimension_or_over_unknown_domains():
+    x = MIXED.point({"hue": 0.0, "sat": 0.0, "diam": 0.0})
+    missing = Weights({"color": 1.0}, {"color": {"hue": 1.0}})
+    with pytest.raises(ValidationError) as err:
+        combined_distance(x, x, missing)
+    assert str(err.value) == ("dimension weights of domain 'color' cover "
+                              "['hue'], expected ['hue', 'sat']")
+    unknown = Weights({"color": 1.0, "shape": 1.0},
+                      {"color": {"hue": 0.5, "sat": 0.5},
+                       "shape": {"round": 1.0}})
+    with pytest.raises(ValidationError) as err:
+        combined_distance(x, x, unknown)
+    assert str(err.value) == "weights cover unknown domains ['shape']"
