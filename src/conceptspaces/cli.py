@@ -25,7 +25,7 @@ from .concept import CombinationParams, Concept, combine_adjective_noun
 from .errors import ConceptSpaceError, ValidationError
 from .kb import Defaults, KnowledgeBase, concept_from_dict, concept_to_dict
 from .optimize import _lattice_axes, height_of_intersection
-from .space import Point, Space
+from .space import Point, Space, _check_same_space
 
 KB_ENV = "CSPACES_KB"
 
@@ -78,6 +78,7 @@ def export_grid(concept: Concept, dims: tuple[str, str],
     ax1, ax2 = _lattice_axes({d1: ranges[d1], d2: ranges[d2]}, step)
     if slice_point is None:
         slice_point = concept.core.central_point
+    _check_same_space(concept, slice_point)
     total = len(ax1) * len(ax2)
     coords = np.tile(slice_point.array, (total, 1))
     coords[:, space.index_of(d1)] = np.repeat(ax1, len(ax2))

@@ -21,8 +21,8 @@ import numpy as np
 from . import optimize
 from .errors import UnrelatedConceptsError, ValidationError
 from .geometry import Core, _intersect_rows, cores_intersect
-from .space import (Point, Space, Weights, _check_decay, _check_weights_fit,
-                    _sum_to_count)
+from .space import (Point, Space, Weights, _check_decay, _check_same_space,
+                    _check_weights_fit, _coordinate_rows, _sum_to_count)
 
 # Heights below this floor mean the concepts are effectively unrelated.
 ALPHA_FLOOR = 1e-12
@@ -82,16 +82,17 @@ class Concept:
         The value underflows to 0 far from the core: with decay 10, a point
         at distance 100 gets 0.0.
         """
-        if x.space is not self.space and x.space != self.space:
-            raise ValidationError("point and concept belong to different spaces")
+        _check_same_space(self, x)
         dist = optimize.core_distance_batch(x.array[None, :], self.core,
                                             self.weights)[0]
         # numpy's exp on the scalar, so the bits match membership_batch
         return float(self.peak * np.exp(-self.decay * dist))
 
     def membership_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized membership over rows of coordinates in space order."""
-        dist = optimize.core_distance_batch(coords, self.core, self.weights)
+        """Vectorized membership over points, rows of finite coordinates in
+        space order."""
+        rows = _coordinate_rows(self.space, coords)
+        dist = optimize.core_distance_batch(rows, self.core, self.weights)
         return self.peak * np.exp(-self.decay * dist)
 
     def alpha_cut_contains(self, x: Point, alpha: float) -> bool:
@@ -250,8 +251,7 @@ def subsethood_check(sub: Concept, sup: Concept,
     them.  Reports the first sampled point whose membership in ``sub``
     exceeds the one in ``sup`` by more than ``_SLACK``.
     """
-    if sub.space != sup.space:
-        raise ValidationError("concepts belong to different spaces")
+    _check_same_space(sub, sup)
     if sample_count < 1:
         raise ValidationError("sample_count must be at least 1")
     space = sub.space
@@ -313,6 +313,7 @@ def combine_adjective_noun(prop: Concept, noun: Concept,
     concept's information on its domain: the domain is projected away from
     the concept first, then the intersection is taken.
     """
+    _check_same_space(prop, noun)
     if len(prop.core.domain_set) != 1:
         raise ValidationError(
             f"the property must span exactly one domain, got "

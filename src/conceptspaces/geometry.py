@@ -25,8 +25,9 @@ is what comparing their cuboids gives.  Repair, the central region and the
 inner point each have one routine on bound arrays; :func:`repair` adapts
 the first to cuboids.  A ``Cuboid`` is a validated record of one row, for
 input and output only: no numeric code reads it.  :func:`_check_row` is
-the one check of a row; ``Cuboid`` runs it, and so does ``Core._from_rows``
-on the first row its vectorised pass rejects.  Which dimensions a domain set
+the one check of a row, run by ``Cuboid`` (so by ``Cuboid.from_bounds``),
+by the knowledge base on every cuboid entry, and by ``Core._from_rows`` on
+the first row its vectorised pass rejects.  Which dimensions a domain set
 owns is cached per space, so a row's check is a single pass over its bounds.
 """
 
@@ -41,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .space import Point, Space
+from .space import Point, Space, _check_same_space, _coordinate_rows
 
 # Entries of a point-by-cuboid array evaluated at once, which bounds the
 # memory of a batch independently of its size.
@@ -73,24 +74,14 @@ class Cuboid:
     @classmethod
     def from_bounds(cls, space: Space, domains: Iterable[str],
                     low: Mapping[str, float], high: Mapping[str, float]) -> "Cuboid":
-        """Build a cuboid from ``{dimension: bound}`` mappings over its domains."""
-        domains = frozenset(domains)
-        owned = space._owned(domains)
-        own = set(compress(space.dim_names, owned))
+        """Build a cuboid from ``{dimension: bound}`` mappings over its
+        domains; a dimension missing from a mapping is unbounded there."""
         lo = [-math.inf] * space.n
         hi = [math.inf] * space.n
-        for mapping, target, side in ((low, lo, "lower"), (high, hi, "upper")):
+        for mapping, target in ((low, lo), (high, hi)):
             for d, v in mapping.items():
-                if d not in own:
-                    raise ValidationError(
-                        f"dimension {d!r} is not covered by domains "
-                        f"{sorted(domains)}")
                 target[space.index_of(d)] = float(v)
-            missing = sorted(d for d, o, v in zip(space.dim_names, owned, target)
-                             if o and not math.isfinite(v))
-            if missing:
-                raise ValidationError(f"missing {side} bound for {missing}")
-        return cls(space, domains, tuple(lo), tuple(hi))
+        return cls(space, frozenset(domains), tuple(lo), tuple(hi))
 
 
 def _check_row(space: Space, domains: frozenset[str], lo: Sequence[float],
@@ -324,10 +315,8 @@ class Core:
         cubs = tuple(cuboids)
         if not cubs:
             raise ValidationError("a core needs at least one cuboid")
+        _check_same_space(*cubs)
         space = cubs[0].space
-        for c in cubs[1:]:
-            if c.space != space:
-                raise ValidationError("cuboids belong to different spaces")
         domains = tuple(c.domains for c in cubs)
         self._set_rows(space, domains, frozenset().union(*domains), *_stack(cubs))
 
@@ -341,8 +330,6 @@ class Core:
         The first faulty row raises its message from :func:`_check_row`.
         """
         domains = tuple(domains)
-        if lo.shape != (len(domains), space.n) or hi.shape != lo.shape:
-            raise ValidationError("support bounds must cover every dimension")
         distinct, code = _domain_codes(domains)
         owned = np.array([space._owned(d) for d in distinct])[code]
         # owned: -inf < lo <= hi < inf; elsewhere lo == -inf and hi == inf
@@ -421,20 +408,24 @@ class Core:
                      tuple(_inner_point(*_central_rows(self.lo, self.hi))))
 
     def contains(self, x: Point) -> bool:
-        return bool(self.contains_batch(x.array[None, :])[0])
+        _check_same_space(self, x)
+        return bool(self._contains_rows(x.array[None, :])[0])
 
     def contains_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Whether each coordinate row lies in at least one member cuboid."""
-        coords = np.asarray(coords, dtype=float)
-        flat = coords.reshape(-1, coords.shape[-1])
+        """Whether each point, a row of finite coordinates in space order,
+        lies in at least one member cuboid."""
+        return self._contains_rows(_coordinate_rows(self.space, coords))
+
+    def _contains_rows(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`contains_batch` on checked ``(m, n)`` float rows."""
         lo, hi = self.lo, self.hi
         rows = max(1, _BLOCK_ENTRIES // lo.size)
-        out = np.empty(len(flat), dtype=bool)
-        for start in range(0, len(flat), rows):
-            block = flat[start:start + rows, None, :]
+        out = np.empty(len(coords), dtype=bool)
+        for start in range(0, len(coords), rows):
+            block = coords[start:start + rows, None, :]
             inside = np.all((block >= lo) & (block <= hi), axis=-1)
             out[start:start + rows] = inside.any(axis=1)
-        return out.reshape(coords.shape[:-1])
+        return out
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension hull of all member cuboids (may be infinite)."""
@@ -452,8 +443,7 @@ class Core:
         there is no empty core; :meth:`Concept.intersect` grows disjoint
         cores to level-set boxes that meet before intersecting them.
         """
-        if self.space != other.space:
-            raise ValidationError("cores belong to different spaces")
+        _check_same_space(self, other)
         return _intersect_rows(self.space, self.domains, self.lo, self.hi,
                                other.domains, other.lo, other.hi)
 
@@ -464,8 +454,7 @@ class Core:
         duplicates and cuboids inside another of the same domain set are
         dropped, which leaves the covered points unchanged.
         """
-        if self.space != other.space:
-            raise ValidationError("cores belong to different spaces")
+        _check_same_space(self, other)
         return _core_of_rows(self.space, self.domains + other.domains,
                              np.vstack([self.lo, other.lo]),
                              np.vstack([self.hi, other.hi]))
@@ -494,8 +483,7 @@ class Core:
 
 def cores_intersect(a: Core, b: Core) -> bool:
     """Whether the two unions of cuboids share at least one point."""
-    if a.space != b.space:
-        raise ValidationError("cores belong to different spaces")
+    _check_same_space(a, b)
     lo = np.maximum(a.lo[:, None], b.lo)
     hi = np.minimum(a.hi[:, None], b.hi)
     return bool(np.any(np.all(lo <= hi, axis=-1)))

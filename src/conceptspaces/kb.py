@@ -37,8 +37,11 @@ keys and integer bounds included.  ``load(auto_normalize=True)`` decodes
 every concept at once.  ``cspaces validate`` reads every concept.
 
 Cuboid entries decode to a core's rows (a domain set and full-length
-bounds, ``-inf``/``+inf`` off the entry's domains); decoding checks only the
-entries' format, and ``Core._from_rows`` checks the rows once per concept.
+bounds, ``-inf``/``+inf`` where the entry has ``null`` or no bound).
+Decoding checks the entries' JSON format itself and hands each entry's rows
+to ``geometry._check_row``, the owner of the row rules, whose message it
+prefixes with the entry's path; the core built from the rows then checks
+their common point.
 Weights are checked against the space, as ``Concept`` checks them, before
 their sums.  Encoding writes from the same rows, a core's only state even
 when it was built from ``Cuboid`` objects, so neither way builds a
@@ -61,7 +64,7 @@ import numpy as np
 
 from .concept import Concept, _check_unit
 from .errors import KbFormatError, UnknownNameError, ValidationError
-from .geometry import Core
+from .geometry import Core, _check_row
 from .space import Space, Weights, _check_weights_fit
 
 FORMAT_VERSION = 1
@@ -328,44 +331,29 @@ def weights_from_dict(space: Space, data: Any, path: str,
 
 def _rows_from_dict(space: Space, data: Any, path: str
                     ) -> tuple[frozenset[str], list[float], list[float]]:
-    """One cuboid entry as its domain set and its two bound rows."""
+    """One cuboid entry as its domain set and its two checked bound rows."""
     data = _expect_mapping(data, path)
     raw_domains = data.get("domains")
     if (not isinstance(raw_domains, list) or not raw_domains
             or not all(isinstance(d, str) for d in raw_domains)):
         raise KbFormatError(f"{path}.domains: expected a list of domain names")
-    for name in raw_domains:
-        if name not in space.domain_names:
-            raise KbFormatError(f"{path}.domains: unknown domain {name!r}")
     domains = frozenset(raw_domains)
-    owned = space._owned(domains)
     index = space._dim_index
     rows = []
-    for key, side, fill in (("p_min", "lower", -math.inf),
-                            ("p_max", "upper", math.inf)):
+    for key, fill in (("p_min", -math.inf), ("p_max", math.inf)):
         raw = _expect_mapping(data.get(key), f"{path}.{key}")
         row = [fill] * space.n
         for dim, value in raw.items():
             i = index.get(dim)
             if i is None:
                 raise KbFormatError(f"{path}.{key}: unknown dimension {dim!r}")
-            if value is None:
-                if owned[i]:
-                    raise KbFormatError(
-                        f"{path}.{key}: dimension {dim!r} is covered by the "
-                        f"cuboid's domains and needs a finite bound")
-                continue
-            if not owned[i]:
-                raise KbFormatError(
-                    f"{path}.{key}: dimension {dim!r} lies outside the "
-                    f"cuboid's domains and must be null or absent")
-            row[i] = _expect_number(value, f"{path}.{key}.{dim}")
-        # numbers are finite, so an owned dimension still at ``fill`` has none
-        missing = [d for d, own, v in zip(space.dim_names, owned, row)
-                   if own and v == fill]
-        if missing:
-            raise KbFormatError(f"{path}: missing {side} bound for {missing}")
+            if value is not None:
+                row[i] = _expect_number(value, f"{path}.{key}.{dim}")
         rows.append(row)
+    try:
+        _check_row(space, domains, *rows)
+    except ValidationError as exc:
+        raise KbFormatError(f"{path}: {exc}") from exc
     return domains, rows[0], rows[1]
 
 

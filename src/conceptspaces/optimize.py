@@ -36,7 +36,8 @@ import numpy as np
 from .errors import LatticeSizeError, ValidationError
 from .geometry import (_BLOCK_ENTRIES, Core, Cuboid, _inner_point,
                        nearest_point_pairs)
-from .space import _SQUARE_LIMIT, Metric, Point, Space, Weights, _check_decay
+from .space import (_SQUARE_LIMIT, Metric, Point, Space, Weights, _check_decay,
+                    _check_same_space)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .concept import Concept
@@ -55,8 +56,7 @@ def distance_to_cuboid(x: Point, cuboid: Cuboid, weights: Weights) -> float:
     point because the combined metric treats dimensions independently.
     A cuboid with no domains bounds nothing and cannot form a core.
     """
-    if x.space != cuboid.space:
-        raise ValidationError("point and cuboid belong to different spaces")
+    _check_same_space(x, cuboid)
     if not cuboid.domains <= weights.domain_set:
         missing = sorted(cuboid.domains - weights.domain_set)
         raise ValidationError(f"weights do not cover domains {missing}")
@@ -441,8 +441,7 @@ def height_of_intersection(c1: "Concept", c2: "Concept") -> HeightResult:
     at most ``_DUAL_CAP`` values of its dual variable; a pair cut there
     still gives a certified bound.
     """
-    if c1.space != c2.space:
-        raise ValidationError("concepts belong to different spaces")
+    _check_same_space(c1, c2)
     space = c1.space
     near1, near2 = nearest_point_pairs(c1.core, c2.core)
     points = near1.reshape(-1, space.n)
@@ -604,8 +603,7 @@ def grid_oracle_max_min(c1: "Concept", c2: "Concept",
     :func:`_lattice_axes` over ``bounds`` and returns the best value seen.
     Improves monotonically as ``step`` shrinks.
     """
-    if c1.space != c2.space:
-        raise ValidationError("concepts belong to different spaces")
+    _check_same_space(c1, c2)
     space = c1.space
     union = c1.core.domain_set | c2.core.domain_set
     lattice_dims = [d for name in space.domain_names if name in union

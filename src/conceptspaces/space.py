@@ -13,6 +13,9 @@ the kernel works plane by plane in a fixed summation order, so a gap's
 distance does not depend on the shape of the batch that holds it.  It
 rescales gaps whose squares could overflow, so distances stay finite and
 accurate up to the largest finite coordinates.
+
+Operands of one operation share a space; :func:`_check_same_space` owns
+that rule for points, cuboids, cores and concepts alike.
 """
 
 from __future__ import annotations
@@ -171,11 +174,8 @@ class Point:
     def __post_init__(self):
         coords = tuple(float(v) for v in self.coords)
         object.__setattr__(self, "coords", coords)
-        if len(coords) != self.space.n:
-            raise ValidationError(
-                f"expected {self.space.n} coordinates, got {len(coords)}")
-        if not all(math.isfinite(v) for v in coords):
-            raise ValidationError("point coordinates must be finite")
+        _check_coordinates(self.space, len(coords),
+                           all(map(math.isfinite, coords)))
 
     def __getitem__(self, dim: str) -> float:
         return self.coords[self.space.index_of(dim)]
@@ -194,6 +194,25 @@ class Point:
         """Largest coordinate magnitude; gaps between two points are at
         most the sum of theirs."""
         return max(map(abs, self.coords))
+
+
+def _check_coordinates(space: Space, count: int, finite: bool) -> None:
+    """Raise unless a point has ``space.n`` coordinates, all finite."""
+    if count != space.n:
+        raise ValidationError(f"expected {space.n} coordinates, got {count}")
+    if not finite:
+        raise ValidationError("point coordinates must be finite")
+
+
+def _coordinate_rows(space: Space, coords: np.ndarray) -> np.ndarray:
+    """``coords`` as a float array of points, one row each, checked as
+    :class:`Point` checks one."""
+    rows = np.asarray(coords, dtype=float)
+    if rows.ndim != 2:
+        raise ValidationError(
+            f"expected one row of coordinates per point, got shape {rows.shape}")
+    _check_coordinates(space, rows.shape[1], bool(np.isfinite(rows).all()))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -422,9 +441,13 @@ class Metric:
         return total
 
 
-def _check_same_space(x: Point, y: Point) -> None:
-    if x.space is not y.space and x.space != y.space:
-        raise ValidationError("points belong to different spaces")
+def _check_same_space(first, *others) -> None:
+    """Raise unless every operand (a point, cuboid, core or concept) lies
+    in the space of the first: the same object, or an equal one."""
+    space = first.space
+    for other in others:
+        if other.space is not space and other.space != space:
+            raise ValidationError("operands belong to different spaces")
 
 
 def domain_distance(x: Point, y: Point, domain: str, weights: Weights) -> float:
@@ -458,8 +481,7 @@ def between(x: Point, y: Point, z: Point, weights: Weights,
     tolerance is relative, ``1e-9 * (1 + d(x,z))``, so the predicate
     survives coordinate rescaling.
     """
-    _check_same_space(x, y)
-    _check_same_space(y, z)
+    _check_same_space(x, y, z)
     if tol is not None and not tol >= 0:   # NaN too
         raise ValidationError("tolerance must be non-negative")
     # dimension-first, one column per pair

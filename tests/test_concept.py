@@ -77,6 +77,29 @@ class TestMembership:
         assert concept.membership(far) == 0.0
         assert concept.membership_batch(far.array[None, :])[0] == 0.0
 
+    @pytest.mark.parametrize("coords, message", [
+        (np.zeros((3, 2)), "expected 1 coordinates, got 2"),
+        (np.zeros(3),
+         "expected one row of coordinates per point, got shape (3,)"),
+        (np.array([[0.5], [math.nan], [0.2]]),
+         "point coordinates must be finite"),
+        (np.array([[-math.inf]]), "point coordinates must be finite"),
+    ], ids=["width", "one-axis", "nan", "inf"])
+    def test_coordinate_batches_are_checked_like_points(self, coords,
+                                                        message):
+        concept = line_concept(0.0, 1.0)
+        for batch in (concept.membership_batch, concept.core.contains_batch):
+            with pytest.raises(ValidationError) as err:
+                batch(coords)
+            assert str(err.value) == message
+
+    def test_coordinate_batches_take_nested_lists(self):
+        concept = line_concept(0.0, 1.0)
+        assert concept.membership_batch([[0.5], [2]]).tolist() == [
+            1.0, math.exp(-1.0)]
+        assert concept.core.contains_batch([[0.5], [2]]).tolist() == [
+            True, False]
+
     def test_half_at_distance_ln2(self):
         concept = line_concept(0.0, 1.0)
         x = 1.0 + math.log(2.0)

@@ -245,7 +245,7 @@ _CUBOID = _UNIT + ("cuboids", 0)
     (_set(*_CUBOID, "domains", "width"),
      "concepts.unit.cuboids[0].domains: expected a list of domain names"),
     (_set(*_CUBOID, "domains", ["width", "depth"]),
-     "concepts.unit.cuboids[0].domains: unknown domain 'depth'"),
+     "concepts.unit.cuboids[0]: unknown domains ['depth']"),
     (_set(*_UNIT, "cuboids", []),
      "concepts.unit.cuboids: expected a non-empty list"),
     (_set("format_version", 1.0), "format_version: expected an integer"),
@@ -323,8 +323,8 @@ class TestValidation:
         del payload["concepts"]["unit"]["cuboids"][0]["p_min"]["y"]
         path = write_payload(tmp_path, payload)
         assert_fails_when_read(path, capsys,
-                               r"^concepts\.unit\.cuboids\[0\]: missing "
-                               r"lower bound for \['y'\]$")
+                               r"^concepts\.unit\.cuboids\[0\]: bounds for "
+                               r"dimension 'y' must be finite$")
 
     def test_null_bound_on_covered_dimension_rejected(self, tmp_path, capsys):
         payload = minimal_payload()
@@ -340,8 +340,9 @@ class TestValidation:
         entry["p_max"]["y"] = None
         path = write_payload(tmp_path, payload)
         assert_fails_when_read(path, capsys,
-                               r"concepts\.unit\.cuboids\[0\]\.p_min: "
-                               r"dimension 'y' lies outside")
+                               r"^concepts\.unit\.cuboids\[0\]: dimension "
+                               r"'y' lies outside the cuboid's domains and "
+                               r"must be unbounded$")
 
     def test_lower_bound_above_upper_bound_names_the_dimension(
             self, tmp_path, capsys):
@@ -352,8 +353,8 @@ class TestValidation:
                         "p_max": {"x": 0.6, "y": 0.8}})
         path = write_payload(tmp_path, payload)
         assert_fails_when_read(path, capsys,
-                               r"^concepts\.unit: lower bound exceeds upper "
-                               r"bound on dimension 'y'$")
+                               r"^concepts\.unit\.cuboids\[1\]: lower bound "
+                               r"exceeds upper bound on dimension 'y'$")
 
     def test_disjoint_entries_name_the_concept(self, tmp_path, capsys):
         payload = minimal_payload()

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptspaces import (Point, Space, ValidationError, Weights, between,
-                           combined_distance, domain_distance, similarity)
+from conceptspaces import (Concept, Core, Cuboid, Point, Space,
+                           ValidationError, Weights, between,
+                           combine_adjective_noun, combined_distance,
+                           cores_intersect, distance_to_cuboid,
+                           domain_distance, grid_oracle_max_min,
+                           height_of_intersection, similarity,
+                           subsethood_check)
+from conceptspaces.cli import export_grid
 
 from conftest import PLANE
 
@@ -314,3 +320,65 @@ def test_metric_rejects_weights_missing_a_dimension_or_over_unknown_domains():
     with pytest.raises(ValidationError) as err:
         combined_distance(x, x, unknown)
     assert str(err.value) == "weights cover unknown domains ['shape']"
+
+
+# ---------------------------------------------------------------------------
+# One same-space rule: every operation on operands of two spaces of the same
+# width raises its one message, and operands of equal spaces pass.
+
+class _Operands:
+    """A point, cuboid, core, concept and one-domain property of a space of
+    two one-dimensional domains."""
+
+    def __init__(self, space):
+        self.point = Point(space, (0.5, 0.5))
+        self.cuboid = Cuboid(space, space.domain_names, (0.0, 0.0),
+                             (1.0, 1.0))
+        self.core = Core((self.cuboid,))
+        self.weights = Weights.uniform(space)
+        self.concept = Concept(self.core, 1.0, 1.0, self.weights)
+        self.prop = self.concept.project(space.domain_names[:1])
+
+
+_UNIT = {"x": (0.0, 1.0), "y": (0.0, 1.0)}
+_SPACED_OPERATIONS = {
+    "Concept.intersect": lambda a, b: a.concept.intersect(b.concept),
+    "Concept.union": lambda a, b: a.concept.union(b.concept),
+    "Concept.membership": lambda a, b: a.concept.membership(b.point),
+    "combine_adjective_noun":
+        lambda a, b: combine_adjective_noun(a.prop, b.concept),
+    "height_of_intersection":
+        lambda a, b: height_of_intersection(a.concept, b.concept),
+    "subsethood_check":
+        lambda a, b: subsethood_check(a.concept, b.concept, 30),
+    "grid_oracle_max_min":
+        lambda a, b: grid_oracle_max_min(a.concept, b.concept, _UNIT, 0.5),
+    "Core": lambda a, b: Core((a.cuboid, b.cuboid)),
+    "Core.intersect": lambda a, b: a.core.intersect(b.core),
+    "Core.union": lambda a, b: a.core.union(b.core),
+    "Core.contains": lambda a, b: a.core.contains(b.point),
+    "cores_intersect": lambda a, b: cores_intersect(a.core, b.core),
+    "distance_to_cuboid":
+        lambda a, b: distance_to_cuboid(b.point, a.cuboid, a.weights),
+    "combined_distance":
+        lambda a, b: combined_distance(a.point, b.point, a.weights),
+    "domain_distance":
+        lambda a, b: domain_distance(a.point, b.point, "width", a.weights),
+    "between": lambda a, b: between(a.point, a.point, b.point, a.weights),
+    "export_grid": lambda a, b: export_grid(a.concept, ("x", "y"), _UNIT, 0.5,
+                                            slice_point=b.point),
+}
+
+
+@pytest.mark.parametrize("other", [
+    Space((("width", ("u",)), ("height", ("v",)))),
+    Space((("wide", ("x",)), ("high", ("y",)))),
+], ids=["dimensions", "domains"])
+@pytest.mark.parametrize("operation", list(_SPACED_OPERATIONS.values()),
+                         ids=list(_SPACED_OPERATIONS))
+def test_operands_of_different_spaces_are_refused(operation, other):
+    own = _Operands(PLANE)
+    with pytest.raises(ValidationError) as err:
+        operation(own, _Operands(other))
+    assert str(err.value) == "operands belong to different spaces"
+    operation(own, _Operands(Space(PLANE.domains)))
